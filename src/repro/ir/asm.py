@@ -5,6 +5,7 @@ through the builder API.  Grammar (``#`` starts a line comment)::
 
     program  := header? func*
     header   := "program" ("entry" "=" IDENT)? ("globals" "=" INT)?
+                ("table" "=" "[" (IDENT ("," IDENT)*)? "]")?
     func     := "func" IDENT "(" INT ")" ("regs" "=" INT)? "{" block+ "}"
     block    := IDENT ":" instr*
     instr    := mnemonic operands
@@ -12,7 +13,8 @@ through the builder API.  Grammar (``#`` starts a line comment)::
 Operands: ``rN`` registers, integer/float literals (immediates),
 ``[rN+off]`` memory addresses, bare identifiers (block or function
 names).  Calls look like ``call r3, foo(r1, 2)`` / ``call foo(r1)`` and
-indirect calls ``icall r3, *r5(r1, 2)``.
+indirect calls ``icall r3, *r5(r1, 2)``, which call through the
+header's ``table=[f, g]`` (``Program.function_table``, index order).
 """
 
 from __future__ import annotations
@@ -170,6 +172,7 @@ class _Parser:
     def parse_program(self) -> Program:
         entry = "main"
         globals_size = 0
+        table: List[str] = []
         if self.peek().kind == "ident" and self.peek().text == "program":
             self.next()
             while True:
@@ -182,9 +185,18 @@ class _Parser:
                     self.next()
                     self.expect("punct", "=")
                     globals_size = int(self.expect("int").text)
+                elif token.kind == "ident" and token.text == "table":
+                    self.next()
+                    self.expect("punct", "=")
+                    self.expect("punct", "[")
+                    while not self.accept("punct", "]"):
+                        if table:
+                            self.expect("punct", ",")
+                        table.append(self.expect("ident").text)
                 else:
                     break
         program = Program(entry=entry, globals_size=globals_size)
+        program.function_table = table
         while self.peek().kind != "eof":
             program.add_function(self.parse_function(program))
         program.assign_all_call_sites()

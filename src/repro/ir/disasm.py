@@ -104,6 +104,8 @@ def format_function(function: Function) -> str:
 
 def format_program(program: Program) -> str:
     header = f"program entry={program.entry} globals={program.globals_size}"
+    if program.function_table:
+        header += f" table=[{', '.join(program.function_table)}]"
     functions = "\n\n".join(
         format_function(f) for f in program.functions.values()
     )

@@ -14,14 +14,17 @@ machine:
 * each segment's common instructions (const/move/binop/fbinop, loads,
   stores, conditional and unconditional branches, alloc and the
   path-register pseudo-ops) are compiled to one specialized Python
-  function — generated source with register numbers, immediates,
-  addresses and cost constants inlined as literals, ``exec``-ed once at
-  decode time;
+  function — generated source with register numbers, immediates and
+  cost constants inlined as literals, ``exec``-ed once at decode time;
+  the values that only say *where* a block is (addresses, I-cache
+  lines, block and function names, table bases and capacities, CCT
+  proc ids) are bound as maker parameters instead, through
+  :meth:`_SegmentWriter.const`;
 * the instrumentation hooks spliced by :mod:`repro.instrument` are
   **fused** into the generated source wherever their behaviour is
   static: array-table ``bump``/``accumulate`` fast paths with slot
-  addresses and strides as literals, ``edge_count`` with the whole
-  address precomputed, the PIC zero/save/restore sequences, the CCT
+  strides inlined, ``edge_count`` with the whole address precomputed,
+  the PIC zero/save/restore sequences, the CCT
   gCSP store before calls, and the CCT entry/exit protocol with a
   generated tag-0 fast path that only calls into the runtime
   (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  Hash tables,
@@ -70,10 +73,19 @@ The generated source cached on the block additionally keys on a
 *probe fingerprint* — the table geometry and CCT flags baked into
 fused probes — so machines with differently-shaped runtimes never
 share compiled code.
+
+Code objects come from :func:`_compile_block`, a process-wide LRU
+cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text.
+Because position-dependent values are parameters, structurally
+identical blocks — the same function in two deep-copied programs,
+twin helpers, repeated loop bodies — compile once.  The text is a
+sound key on its own: every constant the code depends on is either a
+literal in it or an argument bound per machine at decode time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -565,11 +577,16 @@ class _SegmentWriter:
         self.alloc_link = alloc_link
         #: Per-segment maker parameters beyond the fixed ones, in
         #: emission order: ("h", instr_index) handler closures,
-        #: ("lk", n) successor-link cells, and ("pb", spec) runtime
-        #: objects fused probes bind (tables, PIC methods, CCT state).
+        #: ("lk", n) successor-link cells, ("pb", spec) runtime objects
+        #: fused probes bind (tables, PIC methods, CCT state), and
+        #: ("c", value) block-specific constants (see :meth:`const`).
         self.extras: List[Tuple[str, object]] = []
+        #: The maker parameter name of each ``extras`` entry.
+        self.names: List[str] = []
         #: spec -> generated parameter name, for per-segment dedup.
         self._params: Dict[Tuple, str] = {}
+        #: (type, value) -> generated constant name, likewise.
+        self._consts: Dict[Tuple, str] = {}
         self.config = machine.config
         self.penalty = machine.config.icache_miss_penalty
         self.write_allocate = machine.config.dcache_write_allocate
@@ -590,13 +607,35 @@ class _SegmentWriter:
         self.prev_iline: Optional[int] = None
         self.cell_stale = False
 
+    def _bind(self, extra: Tuple[str, object], name: str) -> None:
+        self.extras.append(extra)
+        self.names.append(name)
+
     def param(self, *spec) -> str:
         """Parameter name for a bind-time object described by ``spec``."""
         name = self._params.get(spec)
         if name is None:
             name = f"_pb{len(self._params)}"
             self._params[spec] = name
-            self.extras.append(("pb", spec))
+            self._bind(("pb", spec), name)
+        return name
+
+    def const(self, value) -> str:
+        """Source expression for a block-specific constant.
+
+        Addresses, I-cache lines, block and function names, table
+        bases and capacities and CCT proc ids become maker parameters
+        (named in first-use order, keyed by type as well as value so
+        ``1`` and ``True`` stay apart), so blocks that differ only in
+        where they sit emit byte-identical source and share one code
+        object.  The trace writer inlines them instead.
+        """
+        key = (value.__class__, value)
+        name = self._consts.get(key)
+        if name is None:
+            name = f"_c{len(self._consts)}"
+            self._consts[key] = name
+            self._bind(("c", value), name)
         return name
 
     def emit(self, line: str, indent: int = 2) -> None:
@@ -608,12 +647,12 @@ class _SegmentWriter:
         if self.prev_iline is None:
             # Dynamic head check: the previous dynamic instruction ran
             # in another segment (or another block entirely).
-            self.emit(f"if {iline} != _il[0]:")
-            self.emit(f"    if not _ica({addr}):")
+            self.emit(f"if {self.const(iline)} != _il[0]:")
+            self.emit(f"    if not _ica({self.const(addr)}):")
             self.emit(f"        counts[{_IC_MISS}] += 1")
             self.emit(f"        counts[{_CYCLES}] += {self.penalty}")
         elif iline != self.prev_iline:
-            self.emit(f"if not _ica({addr}):")
+            self.emit(f"if not _ica({self.const(addr)}):")
             self.emit(f"    counts[{_IC_MISS}] += 1")
             self.emit(f"    counts[{_CYCLES}] += {self.penalty}")
         self.prev_iline = iline
@@ -642,7 +681,7 @@ class _SegmentWriter:
         """Bring the machine's I-cache line state up to date (needed
         before anything that performs its own dynamic head check)."""
         if self.cell_stale:
-            self.emit(f"_il[0] = {self.prev_iline}")
+            self.emit(f"_il[0] = {self.const(self.prev_iline)}")
             self.cell_stale = False
 
     # -- operand helpers -------------------------------------------------------
@@ -747,12 +786,12 @@ class _SegmentWriter:
             self.emit(f"counts[{_BRANCHES}] += 1")
             self.emit(f"if {self.rd(instr.cond)} != 0:")
             self.emit(f"    counts[{_BR_TAKEN}] += 1")
-            self.emit(f"    if not _prd({addr}, True):")
+            self.emit(f"    if not _prd({self.const(addr)}, True):")
             self.emit(f"        counts[{_BR_MISPRED}] += 1")
             self.emit(f"        counts[{_CYCLES}] += {mp}")
             self._transfer(instr.then, indent=3)
             self.emit("else:")
-            self.emit(f"    if not _prd({addr}, False):")
+            self.emit(f"    if not _prd({self.const(addr)}, False):")
             self.emit(f"        counts[{_BR_MISPRED}] += 1")
             self.emit(f"        counts[{_CYCLES}] += {mp}")
             self._transfer(instr.els, indent=3)
@@ -764,13 +803,14 @@ class _SegmentWriter:
         # decoded block is returned directly (resolved lazily through a
         # per-site link cell) and the run loop skips the cache lookup.
         n = self.alloc_link()
-        self.extras.append(("lk", n))
-        self.emit(f"frame.block_name = {target!r}", indent)
+        self._bind(("lk", n), f"_lk{n}")
+        name = self.const(target)
+        self.emit(f"frame.block_name = {name}", indent)
         self.emit("frame.index = 0", indent)
         self.emit("_t = machine.tracer", indent)
         self.emit("if _t is not None:", indent)
-        self.emit(f"    _t.on_block({self.fname!r}, {target!r})", indent)
-        self.emit(f"return _lk{n}[0] or _rs(_lk{n}, {target!r})", indent)
+        self.emit(f"    _t.on_block({self.const(self.fname)}, {name})", indent)
+        self.emit(f"return _lk{n}[0] or _rs(_lk{n}, {name})", indent)
 
     # -- fused instrumentation probes ------------------------------------------
 
@@ -863,8 +903,8 @@ class _SegmentWriter:
     def _fuse_commit(self, instr, table) -> None:
         tc = self.param("tblc", instr.table)
         self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
-        self.emit(f"if 0 <= _i < {table.capacity}:")
-        self.emit(f"    _a = {table.base} + _i * {table.slot_words * WORD}")
+        self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
+        self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
         self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
@@ -877,8 +917,8 @@ class _SegmentWriter:
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
         self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
-        self.emit(f"if 0 <= _i < {table.capacity}:")
-        self.emit(f"    _a = {table.base} + _i * {table.slot_words * WORD}")
+        self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
+        self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit(f"    _m = {tm}.get(_i)")
         self.emit("    if _m is None:")
@@ -908,7 +948,9 @@ class _SegmentWriter:
         """
         tc = self.param("tblc", instr.table)
         tm = self.param("tblm", instr.table)
-        self.emit(f"_a = {table.base} + _i * {table.slot_words * WORD}", indent)
+        self.emit(
+            f"_a = {self.const(table.base)} + _i * {table.slot_words * WORD}", indent
+        )
         self._bump(tc, "_i", "_a", indent)
         self.emit(f"_m = {tm}.get(_i)", indent)
         self.emit("if _m is None:", indent)
@@ -936,7 +978,7 @@ class _SegmentWriter:
         self.emit("else:")
         self.emit(f"    _p = {pr}()")
         self.emit(f"    _i = (_r - _l) // {k} + {instr.end}")
-        self.emit(f"    if 0 <= _i < {table.capacity}:")
+        self.emit(f"    if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 4)
         self.emit("    else:")
         self.emit(f"        {self.param('tbl', instr.table)}.out_of_range += 1")
@@ -952,7 +994,7 @@ class _SegmentWriter:
         self.emit(f"_r = {self.rd(instr.reg)}")
         self.emit(f"_l = _r % {instr.k}")
         self.emit(f"_i = (_r - _l) // {instr.k} + {_literal(instr.values)}[_l]")
-        self.emit(f"if 0 <= _i < {table.capacity}:")
+        self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
         self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
@@ -962,7 +1004,9 @@ class _SegmentWriter:
         # and the slot address both resolve at decode time.
         if 0 <= instr.edge < table.capacity:
             addr = table.base + instr.edge * table.slot_words * WORD
-            self._bump(self.param("tblc", instr.table), str(instr.edge), str(addr), 2)
+            self._bump(
+                self.param("tblc", instr.table), str(instr.edge), self.const(addr), 2
+            )
         else:
             self.emit(f"{self.param('tbl', instr.table)}.out_of_range += 1")
 
@@ -977,7 +1021,7 @@ class _SegmentWriter:
         self.emit("_a = _pnt.slot_addr(_g[1])")
         self.probe_read("_a")
         self.emit("_s = _pnt.slots[_g[1]]")
-        self.emit(f"if _s.__class__ is _CRec and _s.id == {instr.proc!r}:")
+        self.emit(f"if _s.__class__ is _CRec and _s.id == {self.const(instr.proc)}:")
         self.emit("    _c = _s")
         self.emit(f"    {st}.fast_hits += 1")
         self.emit("else:")
@@ -1033,7 +1077,7 @@ class _SegmentWriter:
         self.flush_costs()
         self.sync_cell()
         self.prev_iline = None  # handlers may transfer through other lines
-        self.extras.append(("h", handler_index))
+        self._bind(("h", handler_index), f"_h{handler_index}")
         if transfers:
             self.emit(f"return _h{handler_index}(frame)")
         else:
@@ -1156,14 +1200,15 @@ def _probe_key(machine, instrs) -> Tuple:
     return tuple(parts)
 
 
-def _generate_block(machine, function, block, instrs, addrs):
-    """Produce (source, code, segment starts) for one block.
+def _generate_block(machine, fname: str, instrs, addrs):
+    """Produce ``(source, starts, seg_extras, n_links)`` for one block.
 
     Pure in everything but ``instrs``/``addrs`` and the few config
     constants of :func:`_config_key`, so the result is cached on the
     block and shared by every machine simulating the same program.
+    Block-specific constants are maker parameters (``seg_extras``), so
+    ``source`` depends only on the block's shape and the config.
     """
-    fname = function.name
     line_bits = machine._icache_line_bits
 
     segments: List[Tuple[int, _SegmentWriter]] = []
@@ -1231,18 +1276,9 @@ def _generate_block(machine, function, block, instrs, addrs):
     seg_extras = [w.extras for _start, w in segments]
 
     # Assemble one module with a maker per segment.
-    src_parts: List[str] = [f"# decoded {fname}.{block.name}"]
+    src_parts: List[str] = []
     for j, (start, seg_writer) in enumerate(segments):
-        names = []
-        n_probe = 0
-        for t, v in seg_writer.extras:
-            if t == "pb":
-                # Probe params are named by first-use order (param()).
-                names.append(f", _pb{n_probe}")
-                n_probe += 1
-            else:
-                names.append(f", _{t}{v}")
-        params = "".join(names)
+        params = "".join(f", {name}" for name in seg_writer.names)
         src_parts.append(
             f"def _make{j}(machine, counts, _il, _ica, _dca, _mrd, _mwr, _sbp, _nms, _rmc, _prd, _rs{params}):"
         )
@@ -1251,8 +1287,24 @@ def _generate_block(machine, function, block, instrs, addrs):
         src_parts.extend(seg_writer.lines)
         src_parts.append("    return _seg")
     source = "\n".join(src_parts) + "\n"
-    code = compile(source, f"<decoded {fname}.{block.name}>", "exec")
-    return source, code, starts, seg_extras, n_links
+    return source, starts, seg_extras, n_links
+
+
+#: Distinct block sources whose code objects stay compiled process-wide.
+#: One entry (code object plus source text) holds about 7 KB, so the
+#: cache tops out near 1.7 MB.
+COMPILE_CACHE_CAP = 256
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_CAP)
+def _compile_block(source: str):
+    """The code object of one block's generated source.
+
+    Keyed by the source text alone: every constant the code depends on
+    is either a literal in that text or a maker parameter bound per
+    machine, so equal text compiles to interchangeable code.
+    """
+    return compile(source, "<decoded>", "exec")
 
 
 def _resolve_probe_spec(machine, instrs, spec):
@@ -1328,9 +1380,13 @@ def decode_block(machine, function, block) -> DecodedBlock:
         _key, source, code, starts, seg_extras, n_links = cached
         stats["source_cache_hits"] += 1
     else:
-        source, code, starts, seg_extras, n_links = _generate_block(
-            machine, function, block, instrs, addrs
+        source, starts, seg_extras, n_links = _generate_block(
+            machine, fname, instrs, addrs
         )
+        hits = _compile_block.cache_info().hits
+        code = _compile_block(source)
+        if _compile_block.cache_info().hits != hits:
+            stats["compile_cache_hits"] += 1
         block._decode_cache = (cache_key, source, code, starts, seg_extras, n_links)
         stats["source_cache_misses"] += 1
     stats["decoded_blocks"] += 1
@@ -1373,6 +1429,8 @@ def decode_block(machine, function, block) -> DecodedBlock:
                 extras.append(handlers[v])
             elif t == "lk":
                 extras.append(cells[v])
+            elif t == "c":
+                extras.append(v)
             else:
                 extras.append(_resolve_probe_spec(machine, instrs, v))
         steps.append(

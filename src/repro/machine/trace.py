@@ -77,6 +77,7 @@ from repro.machine.engine import (
     _SegmentWriter,
     _config_key,
     _fuse_plan,
+    _literal,
     _probe_key,
     _resolve_probe_spec,
 )
@@ -164,6 +165,9 @@ class _TraceWriter(_SegmentWriter):
         self.reg_reads.add(reg)
         self.reg_writes.add(reg)
         return f"_r{reg}"
+
+    def const(self, value) -> str:
+        return _literal(value)
 
     # -- junction emission -----------------------------------------------------
 

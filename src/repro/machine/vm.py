@@ -198,13 +198,16 @@ class Machine:
         self._decode_links: List[list] = []
         self._codegen_ns: Optional[dict] = None
         #: Block-compilation observability (why warm runs are fast):
-        #: ``decoded_blocks`` counts per-machine bindings, and the
+        #: ``decoded_blocks`` counts per-machine bindings, the
         #: source-cache hit/miss split says how many skipped codegen
-        #: via the block-level compiled-source cache.
+        #: via the block-level compiled-source cache, and
+        #: ``compile_cache_hits`` how many of those misses still
+        #: skipped ``compile()`` through the process-wide code cache.
         self.codegen_stats: Dict[str, int] = {
             "decoded_blocks": 0,
             "source_cache_hits": 0,
             "source_cache_misses": 0,
+            "compile_cache_hits": 0,
         }
         #: Trace-tier state (:class:`repro.machine.trace.TraceState`),
         #: created lazily on the first ``engine="trace"`` run.

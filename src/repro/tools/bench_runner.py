@@ -203,8 +203,14 @@ def prepare_instrumented(program, mode: str):
 #: ``Machine.codegen_stats`` keys folded into bench payloads — the
 #: decode-cache observability satellite: a warm pass whose
 #: ``source_cache_hits`` do not dominate is re-compiling blocks it
-#: should be reusing.
-CODEGEN_STAT_KEYS = ("decoded_blocks", "source_cache_hits", "source_cache_misses")
+#: should be reusing, and ``source_cache_misses - compile_cache_hits``
+#: is the number of ``compile()`` calls a pass made.
+CODEGEN_STAT_KEYS = (
+    "decoded_blocks",
+    "source_cache_hits",
+    "source_cache_misses",
+    "compile_cache_hits",
+)
 
 #: ``Machine.trace_stats`` keys folded into trace-tier bench payloads.
 TRACE_STAT_KEYS = (
@@ -268,17 +274,23 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
     ``make_pass(engine)`` yields ``(name, ready-to-run Machine)`` pairs
     and is called once per pass (fresh machines, fresh runtime state).
     The simple engine and the warm fast/trace passes run best-of-two;
-    the cold passes (first decode + compile) are timed once.  Raises
-    ``AssertionError`` unless all passes produced identical facts —
-    the bit-exactness contract every engine tier must honour.
+    the cold passes (first decode + compile) are timed once, each after
+    emptying the process-wide compile cache so earlier passes cannot
+    warm it.  Raises ``AssertionError`` unless all passes produced
+    identical facts — the bit-exactness contract every engine tier
+    must honour.
     """
+    from repro.machine.engine import _compile_block
+
     simple_i, simple_t, simple_facts, _ = _best_pass(
         2, lambda: _suite_pass(make_pass("simple"))
     )
+    _compile_block.cache_clear()
     cold_i, cold_t, cold_facts, cold_stats = _suite_pass(make_pass("fast"))
     warm_i, warm_t, warm_facts, warm_stats = _best_pass(
         2, lambda: _suite_pass(make_pass("fast"))
     )
+    _compile_block.cache_clear()
     tcold_i, tcold_t, tcold_facts, tcold_stats = _suite_pass(make_pass("trace"))
     twarm_i, twarm_t, twarm_facts, twarm_stats = _best_pass(
         2, lambda: _suite_pass(make_pass("trace"))

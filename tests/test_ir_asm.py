@@ -5,6 +5,10 @@ import pytest
 from repro.ir.asm import AsmError, parse_program
 from repro.ir.disasm import format_instruction, format_program
 from repro.ir.instructions import Imm, Kind
+from repro.machine.vm import Machine
+from repro.workloads.suite import build_workload, workload_names
+
+SUITE_NAMES = workload_names("SPEC95")
 
 FULL_PROGRAM = """
 # every assembler form in one program
@@ -159,6 +163,44 @@ class TestRoundTrip:
         program = parse_program(FULL_PROGRAM)
         text = format_program(program)
         assert format_program(parse_program(text)) == text
+
+    def test_function_table_round_trips(self):
+        text = FULL_PROGRAM.replace(
+            "program entry=main globals=32",
+            "program entry=main globals=32 table=[helper, noresult]",
+        )
+        program = parse_program(text)
+        assert program.function_table == ["helper", "noresult"]
+        formatted = format_program(program)
+        assert "table=[helper, noresult]" in formatted.splitlines()[0]
+        assert parse_program(formatted).function_table == ["helper", "noresult"]
+
+    def test_empty_function_table_parses(self):
+        program = parse_program(
+            "program entry=main table=[]\nfunc main(0) regs=2 {\nentry:\n ret\n}"
+        )
+        assert program.function_table == []
+        assert "table" not in format_program(program)
+
+    def test_function_table_names_are_validated(self):
+        from repro.ir.function import IRValidationError
+
+        with pytest.raises(IRValidationError, match="nosuch"):
+            parse_program(
+                "program table=[nosuch]\nfunc main(0) regs=2 {\nentry:\n ret\n}"
+            )
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite_program_runs_identically_after_round_trip(self, name):
+        # The indirect-dispatch programs (124.m88ksim, 130.li, 134.perl)
+        # call through Program.function_table, which the header carries.
+        original = build_workload(name, 0.1)
+        reparsed = parse_program(format_program(original))
+        assert reparsed.function_table == original.function_table
+        before = Machine(original).run()
+        after = Machine(reparsed).run()
+        assert after.return_value == before.return_value
+        assert after.counters == before.counters
 
     def test_pseudo_instructions_format(self):
         from repro.ir.instructions import (
