@@ -1,21 +1,18 @@
-"""Simulator throughput: the compiled engine tiers vs the reference loop.
+"""Simulator throughput: the compiled engine vs the reference loop.
 
 Runs the uninstrumented SPEC95-like suite under ``engine="simple"``
-(the reference if/elif interpreter), ``engine="fast"`` (the predecoded
-block engine), and ``engine="trace"`` (the superblock trace tier),
-checks all tiers agree bit-for-bit on every counter, and records
-simulated instructions per second to ``BENCH_vm_speed.json`` at the
-repository root so the speedups are tracked across PRs.
+(the reference if/elif interpreter) and ``engine="fast"`` (the
+predecoded block engine), checks both agree bit-for-bit on every
+counter, and records simulated instructions per second to
+``BENCH_vm_speed.json`` at the repository root so the speedups are
+tracked across PRs.
 
-Each compiled tier is timed twice: cold (first run pays per-block
-decode and bytecode compilation — the trace tier additionally pays, or
-is spared by the persistent code cache, trace compilation) and warm
-(compiled code cached — the regime every experiment runs in).  The
-asserted speedups are the warm ones.
+The fast engine is timed twice: cold (first run pays per-block decode
+and bytecode compilation) and warm (compiled code cached — the regime
+every experiment runs in).  The asserted speedup is the warm one.
 
-``REPRO_VM_SPEED_CHECK_ONLY=1`` relaxes both assertions to >1x for
-noisy shared CI runners; ``REPRO_VM_SPEED_MIN`` and
-``REPRO_TRACE_SPEED_MIN`` override the targets.
+``REPRO_VM_SPEED_CHECK_ONLY=1`` relaxes the assertion to >1x for
+noisy shared CI runners; ``REPRO_VM_SPEED_MIN`` overrides the target.
 """
 
 import json
@@ -29,12 +26,6 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_vm_speed.j
 
 #: Required warm speedup of fast over simple, unless check-only.
 MIN_SPEEDUP = float(os.environ.get("REPRO_VM_SPEED_MIN", "3.0"))
-#: Required warm speedup of the trace tier over simple, unless
-#: check-only.  Deliberately below the fast-tier gate: on the
-#: call-heavy suite the tiers measure at parity (~3.3–3.7x here), and
-#: the trace tier's headline win is the cold-start codegen the disk
-#: cache eliminates, not warm throughput.
-TRACE_MIN_SPEEDUP = float(os.environ.get("REPRO_TRACE_SPEED_MIN", "2.5"))
 CHECK_ONLY = os.environ.get("REPRO_VM_SPEED_CHECK_ONLY", "") not in ("", "0")
 
 
@@ -42,18 +33,13 @@ def test_vm_speed(benchmark):
     names = workload_selection()
     payload = once(benchmark, lambda: measure_vm_speed(SCALE, names))
     payload["min_required"] = MIN_SPEEDUP
-    payload["trace_min_required"] = TRACE_MIN_SPEEDUP
     payload["check_only"] = CHECK_ONLY
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     speedup_warm = payload["speedup_warm"]
-    speedup_trace = payload["speedup_trace_warm"]
-    # Warm passes must reuse every compiled block and trace.
+    # Warm passes must reuse every compiled block.
     assert payload["fast_warm"]["source_cache_misses"] == 0, payload
-    assert payload["trace_warm"]["traces_generated"] == 0, payload
     if CHECK_ONLY:
         assert speedup_warm > 1.0, payload
-        assert speedup_trace > 1.0, payload
     else:
         assert speedup_warm >= MIN_SPEEDUP, payload
-        assert speedup_trace >= TRACE_MIN_SPEEDUP, payload

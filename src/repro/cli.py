@@ -31,9 +31,7 @@ Commands:
   (Table 3 optionally through the sharded driver);
 * ``bench [--instrumented]`` — engine throughput over the suite,
   writing/validating ``BENCH_vm_speed.json`` or
-  ``BENCH_instrumented_speed.json``;
-* ``cache [--stats|--clear]`` — inspect or empty the trace tier's
-  persistent on-disk code cache.
+  ``BENCH_instrumented_speed.json``.
 
 ``FILE`` ending in ``.asm`` is parsed as IR assembly; anything else is
 compiled as mini-language source.  Program arguments are integers
@@ -769,8 +767,6 @@ def cmd_bench(args) -> int:
                 "Cold s": data["fast_cold"]["seconds"],
                 "Warm s": data["fast_warm"]["seconds"],
                 "Warm speedup": data["speedup_warm"],
-                "Trace warm s": data["trace_warm"]["seconds"],
-                "Trace speedup": data["speedup_trace_warm"],
             }
             for mode, data in payload["modes"].items()
         ]
@@ -787,8 +783,6 @@ def cmd_bench(args) -> int:
                 "Cold s": payload["fast_cold"]["seconds"],
                 "Warm s": payload["fast_warm"]["seconds"],
                 "Warm speedup": payload["speedup_warm"],
-                "Trace warm s": payload["trace_warm"]["seconds"],
-                "Trace speedup": payload["speedup_trace_warm"],
             }
         ]
         title = "uninstrumented suite throughput"
@@ -809,31 +803,6 @@ def cmd_bench(args) -> int:
         print(f"FAIL: warm speedup {speedup}, required {required}")
         return 1
     print(f"OK: warm speedup {speedup}, required {required}")
-    return 0
-
-
-def cmd_cache(args) -> int:
-    """Inspect or clear the persistent trace code cache."""
-    from repro.machine.codecache import CodeCache, default_cache_dir
-
-    directory = args.dir or default_cache_dir()
-    if directory is None:
-        print("code cache disabled (REPRO_CODE_CACHE is off)")
-        return 0
-    cache = CodeCache(directory)
-    if args.clear:
-        removed = cache.clear()
-        print(f"cleared {removed} cached trace(s) from {directory}")
-        return 0
-    stats = cache.stats()
-    rows = [
-        {
-            "Directory": stats["directory"],
-            "Entries": f"{stats['entries']}/{stats['max_entries']}",
-            "Bytes": f"{stats['bytes']}/{stats['max_bytes']}",
-        }
-    ]
-    print(format_table(rows, title="trace code cache"))
     return 0
 
 
@@ -1147,22 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--out", help="output JSON path (default: gate filename)")
     bench.set_defaults(fn=cmd_bench)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent trace code cache"
-    )
-    cache.add_argument(
-        "--dir", help="cache directory (default: resolved REPRO_CODE_CACHE/XDG path)"
-    )
-    cache.add_argument(
-        "--clear", action="store_true", help="remove every cached trace"
-    )
-    cache.add_argument(
-        "--stats",
-        action="store_true",
-        help="print entry/byte totals and caps (the default action)",
-    )
-    cache.set_defaults(fn=cmd_cache)
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", choices=["1", "2", "3", "4", "5"])

@@ -220,7 +220,7 @@ class ProfilingRuntime:
         increment folds in the layer bump); at layer ``k-1`` it runs the
         Figure 3 commit with rezero and restarts at the packed START.
         The operation order mirrors :meth:`accumulate` exactly — the
-        fast/trace tiers generate this same sequence inline.
+        fast engine generates this same sequence inline.
         """
         reg = frame.regs[instr.reg]
         layer = reg % instr.k

@@ -35,7 +35,7 @@ _EDIT_GENERATIONS = itertools.count(1)
 class Block:
     """A basic block: straight-line instructions ending in one terminator."""
 
-    __slots__ = ("name", "instrs", "edit_gen", "_decode_cache", "_trace_cache")
+    __slots__ = ("name", "instrs", "edit_gen", "_decode_cache")
 
     def __init__(self, name: str, instrs: Optional[List[Instruction]] = None):
         self.name = name
@@ -51,11 +51,6 @@ class Block:
         #: block's base address, and a few config constants, so machines
         #: simulating the same program share one compile.
         self._decode_cache = None
-        #: Compiled-trace cache of :mod:`repro.machine.trace`, keyed by
-        #: the whole chain's fingerprint; lives on the chain's *head*
-        #: block so machines simulating the same program share one
-        #: trace compile, exactly like ``_decode_cache``.
-        self._trace_cache = None
 
     def note_edit(self) -> None:
         """Stamp a fresh edit generation after mutating ``instrs``.

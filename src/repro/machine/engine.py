@@ -196,8 +196,6 @@ class DecodedBlock:
         "total_icost",
         "source",
         "runtimes",
-        "key",
-        "hot",
     )
 
     def __init__(
@@ -228,15 +226,6 @@ class DecodedBlock:
         #: comparison in ``_validate_decoded`` can never hit a recycled
         #: ``id``.  Swapping runtimes between runs evicts the decoding.
         self.runtimes = runtimes
-        #: ``(function_name, block_name)`` — the decoded-cache key.  The
-        #: trace tier reads it off branch-transfer returns to attribute
-        #: heat to chain links without re-deriving the name.
-        self.key: Optional[Tuple[str, str]] = None
-        #: Trace-tier latch: ``None`` until the tier resolves this block
-        #: (then the compiled trace function or its BLACKLIST sentinel),
-        #: so steady-state transfers pay one slot load instead of a
-        #: tuple-hashed dispatch lookup.  Per-machine, like the closures.
-        self.hot = None
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +617,7 @@ class _SegmentWriter:
         (named in first-use order, keyed by type as well as value so
         ``1`` and ``True`` stay apart), so blocks that differ only in
         where they sit emit byte-identical source and share one code
-        object.  The trace writer inlines them instead.
+        object.
         """
         key = (value.__class__, value)
         name = self._consts.get(key)
@@ -686,28 +675,10 @@ class _SegmentWriter:
 
     # -- operand helpers -------------------------------------------------------
 
-    def rd(self, reg: int) -> str:
-        """Source expression that reads architectural register ``reg``.
-
-        The trace writer overrides this (and :meth:`wr`/:meth:`rw`) to
-        keep registers resident in Python locals across former block
-        boundaries; every generated register access must go through
-        these three methods for that to be sound.
-        """
-        return f"regs[{reg}]"
-
-    def wr(self, reg: int) -> str:
-        """Target expression that writes architectural register ``reg``."""
-        return f"regs[{reg}]"
-
-    def rw(self, reg: int) -> str:
-        """Target of a read-modify-write (``+=``) on register ``reg``."""
-        return f"regs[{reg}]"
-
     def _operand(self, value) -> str:
         if value.__class__ is Imm:
             return _literal(value.value)
-        return self.rd(value)
+        return f"regs[{value}]"
 
     # -- instruction bodies ----------------------------------------------------
 
@@ -716,23 +687,23 @@ class _SegmentWriter:
         self.fetch(addr, iline, instr.icost)
         if kind == Kind.BINOP:
             expr = _INT_OP_FMT[instr.op].format(
-                a=self.rd(instr.a), b=self._operand(instr.b)
+                a=f"regs[{instr.a}]", b=self._operand(instr.b)
             )
-            self.emit(f"{self.wr(instr.dst)} = {expr}")
+            self.emit(f"regs[{instr.dst}] = {expr}")
         elif kind == Kind.CONST:
-            self.emit(f"{self.wr(instr.dst)} = {_literal(instr.value)}")
+            self.emit(f"regs[{instr.dst}] = {_literal(instr.value)}")
         elif kind == Kind.MOVE:
-            self.emit(f"{self.wr(instr.dst)} = {self.rd(instr.src)}")
+            self.emit(f"regs[{instr.dst}] = regs[{instr.src}]")
         elif kind == Kind.FBINOP:
             expr = _FLOAT_OP_FMT[instr.op].format(
-                a=self.rd(instr.a), b=self._operand(instr.b)
+                a=f"regs[{instr.a}]", b=self._operand(instr.b)
             )
-            self.emit(f"{self.wr(instr.dst)} = {expr}")
+            self.emit(f"regs[{instr.dst}] = {expr}")
             self.fp += self.fp_latencies[instr.op] - 1
         elif kind == Kind.LOAD or kind == Kind.FRAME_LOAD:
             if kind == Kind.LOAD:
                 offset = f" + {instr.offset}" if instr.offset else ""
-                self.emit(f"_a = {self.rd(instr.base)}{offset}")
+                self.emit(f"_a = regs[{instr.base}]{offset}")
             else:
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
             self.loads += 1
@@ -741,7 +712,7 @@ class _SegmentWriter:
             self.emit(f"    counts[{_DC_MISS}] += 1")
             self.emit(f"    counts[{_CYCLES}] += _rmc(_a)")
             self.emit("    _nms(_a)")
-            self.emit(f"{self.wr(instr.dst)} = _mrd(_a, 0)")
+            self.emit(f"regs[{instr.dst}] = _mrd(_a, 0)")
         elif kind == Kind.STORE or kind == Kind.FRAME_STORE:
             # The store-buffer push reads CYCLES: flush pending costs
             # (this store's fetch and its STORES/DC_WRITE bump
@@ -751,9 +722,9 @@ class _SegmentWriter:
                 offset = f" + {instr.offset}" if instr.offset else ""
                 self.stores += 1
                 self.flush_costs()
-                self.emit(f"_a = {self.rd(instr.base)}{offset}")
+                self.emit(f"_a = regs[{instr.base}]{offset}")
             else:
-                value = self.rd(instr.src)
+                value = f"regs[{instr.src}]"
                 self.stores += 1
                 self.flush_costs()
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
@@ -765,15 +736,15 @@ class _SegmentWriter:
             self.emit("_sbp()")
             self.emit(f"_mwr(_a, {value})")
         elif kind == Kind.ALLOC:
-            self.emit(f"{self.wr(instr.dst)} = _halloc({self._operand(instr.size)})")
+            self.emit(f"regs[{instr.dst}] = _halloc({self._operand(instr.size)})")
         elif kind == Kind.PATH_RESET:
-            self.emit(f"{self.wr(instr.reg)} = 0")
+            self.emit(f"regs[{instr.reg}] = 0")
         elif kind == Kind.PATH_ADD:
-            self.emit(f"{self.rw(instr.reg)} += {_literal(instr.value)}")
+            self.emit(f"regs[{instr.reg}] += {_literal(instr.value)}")
         elif kind == Kind.K_PATH_ADD:
-            self.emit(f"_r = {self.rd(instr.reg)}")
+            self.emit(f"_r = regs[{instr.reg}]")
             self.emit(
-                f"{self.wr(instr.reg)} = _r + {_literal(instr.values)}[_r % {instr.k}]"
+                f"regs[{instr.reg}] = _r + {_literal(instr.values)}[_r % {instr.k}]"
             )
         elif kind == Kind.BR:
             self.flush_costs()
@@ -784,7 +755,7 @@ class _SegmentWriter:
             self.sync_cell()
             mp = self.config.mispredict_penalty
             self.emit(f"counts[{_BRANCHES}] += 1")
-            self.emit(f"if {self.rd(instr.cond)} != 0:")
+            self.emit(f"if regs[{instr.cond}] != 0:")
             self.emit(f"    counts[{_BR_TAKEN}] += 1")
             self.emit(f"    if not _prd({self.const(addr)}, True):")
             self.emit(f"        counts[{_BR_MISPRED}] += 1")
@@ -902,21 +873,21 @@ class _SegmentWriter:
 
     def _fuse_commit(self, instr, table) -> None:
         tc = self.param("tblc", instr.table)
-        self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
+        self.emit(f"_i = regs[{instr.reg}] + {instr.end}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
         self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
         if instr.reset_to is not None:
-            self.emit(f"{self.wr(instr.reg)} = {instr.reset_to}")
+            self.emit(f"regs[{instr.reg}] = {instr.reset_to}")
 
     def _fuse_accum(self, instr, table) -> None:
         tc = self.param("tblc", instr.table)
         tm = self.param("tblm", instr.table)
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
-        self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
+        self.emit(f"_i = regs[{instr.reg}] + {instr.end}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
@@ -938,7 +909,7 @@ class _SegmentWriter:
             self.emit(f"{self.param('picz')}()")
             self.emit(f"{pr}()")
         if instr.reset_to is not None:
-            self.emit(f"{self.wr(instr.reg)} = {instr.reset_to}")
+            self.emit(f"regs[{instr.reg}] = {instr.reset_to}")
 
     def _accum_slots(self, instr, table, indent: int) -> None:
         """The in-range accumulate body with ``_i`` and ``_p`` already set.
@@ -971,10 +942,10 @@ class _SegmentWriter:
         # table update, rezero, packed restart).
         pr = self.param("picr")
         k = instr.k
-        self.emit(f"_r = {self.rd(instr.reg)}")
+        self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {k}")
         self.emit(f"if _l != {k - 1}:")
-        self.emit(f"    {self.wr(instr.reg)} = _r + {_literal(instr.cross)}[_l]")
+        self.emit(f"    regs[{instr.reg}] = _r + {_literal(instr.cross)}[_l]")
         self.emit("else:")
         self.emit(f"    _p = {pr}()")
         self.emit(f"    _i = (_r - _l) // {k} + {instr.end}")
@@ -984,14 +955,14 @@ class _SegmentWriter:
         self.emit(f"        {self.param('tbl', instr.table)}.out_of_range += 1")
         self.emit(f"    {self.param('picz')}()")
         self.emit(f"    {pr}()")
-        self.emit(f"    {self.wr(instr.reg)} = {instr.start}")
+        self.emit(f"    regs[{instr.reg}] = {instr.start}")
 
     def _fuse_kexit(self, instr, table) -> None:
         # Mirrors ProfilingRuntime.k_exit: layer-indexed end value, no
         # rezero, no reset.
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
-        self.emit(f"_r = {self.rd(instr.reg)}")
+        self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {instr.k}")
         self.emit(f"_i = (_r - _l) // {instr.k} + {_literal(instr.values)}[_l]")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
@@ -1451,7 +1422,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
             )
         )
 
-    decoded = DecodedBlock(
+    return DecodedBlock(
         steps,
         resume,
         block.edit_gen,
@@ -1460,8 +1431,6 @@ def decode_block(machine, function, block) -> DecodedBlock:
         source,
         (machine.path_runtime, machine.cct_runtime),
     )
-    decoded.key = (fname, block.name)
-    return decoded
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,9 @@ class Machine:
         self.pic = PicRegisters(self.counters, pic0_event, pic1_event)
         cfg = self.config
         #: Which execution engine :meth:`run` uses by default: "fast"
-        #: (the predecoded engine of :mod:`repro.machine.engine`),
-        #: "trace" (the superblock tier of :mod:`repro.machine.trace`
-        #: layered above it) or "simple" (the reference if/elif
-        #: interpreter).  Overridable per run, per machine, or globally
-        #: via ``REPRO_ENGINE``.
+        #: (the predecoded engine of :mod:`repro.machine.engine`) or
+        #: "simple" (the reference if/elif interpreter).  Overridable
+        #: per run, per machine, or globally via ``REPRO_ENGINE``.
         self.engine = engine or os.environ.get("REPRO_ENGINE", "fast")
         if cfg.dcache_assoc == 1:
             self.dcache = DirectMappedCache(cfg.dcache_size, cfg.dcache_line)
@@ -208,19 +206,6 @@ class Machine:
             "source_cache_hits": 0,
             "source_cache_misses": 0,
             "compile_cache_hits": 0,
-        }
-        #: Trace-tier state (:class:`repro.machine.trace.TraceState`),
-        #: created lazily on the first ``engine="trace"`` run.
-        self._trace_state = None
-        #: Trace-tier observability: traces compiled/entered, disk code
-        #: cache hits and misses, deopt exits.  Zeros until a trace run.
-        self.trace_stats: Dict[str, int] = {
-            "traces_compiled": 0,
-            "traces_generated": 0,
-            "trace_blocks": 0,
-            "trace_entries": 0,
-            "disk_cache_hits": 0,
-            "disk_cache_misses": 0,
         }
 
     # ------------------------------------------------------------------
@@ -340,10 +325,6 @@ class Machine:
             from repro.machine.engine import execute
 
             return RunResult(self, execute(self))
-        if engine_name == "trace":
-            from repro.machine.trace import execute as trace_execute
-
-            return RunResult(self, trace_execute(self))
         if engine_name == "simple":
             return RunResult(self, self._run_simple())
         raise MachineError(f"unknown engine {engine_name!r}")
@@ -465,13 +446,10 @@ class Machine:
         for cell in self._decode_links:
             cell[0] = None
         self._decode_links.clear()
-        if self._trace_state is not None:
-            self._trace_state.invalidate()
         for function in self.program.functions.values():
             for block in function.blocks:
                 block.note_edit()
                 block._decode_cache = None
-                block._trace_cache = None
         self.layout = assign_layout(self.program)
 
     def _run_simple(self) -> Union[int, float, None]:

@@ -47,10 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle with repro.tools
 
 #: Pipeline phases, in execution order (the ``phase`` field of the
 #: JSONL events a session emits).  A run given a ``store=`` sink emits
-#: one additional ``store`` phase after ``collect``; a run on the trace
-#: engine emits ``trace_compile`` (the machine's trace-tier statistics)
-#: — plus ``cache_hit`` when the persistent code cache served at least
-#: one compile — between ``run`` and ``collect``.
+#: one additional ``store`` phase after ``collect``.
 PHASES = ("clone", "instrument", "decode", "run", "collect")
 
 
@@ -264,15 +261,6 @@ class ProfileSession:
             instructions=result.instructions,
             cycles=result.cycles,
         )
-        if machine.engine == "trace":
-            self._phase("trace_compile", started, spec, **machine.trace_stats)
-            if machine.trace_stats.get("disk_cache_hits", 0) > 0:
-                self._phase(
-                    "cache_hit",
-                    started,
-                    spec,
-                    disk_cache_hits=machine.trace_stats["disk_cache_hits"],
-                )
 
         started = time.perf_counter()
         profile = None

@@ -38,11 +38,11 @@ MODES = (
 #: Counter-increment placement strategies ([BL94] vs naive).
 PLACEMENTS = ("simple", "spanning_tree")
 
-#: Execution engine tiers (see :mod:`repro.machine`): the reference
-#: interpreter, the predecoded block engine, and the superblock trace
-#: tier layered above it.  ``ProfileSpec.engine`` is one of these or
-#: ``None`` (defer to the Machine default / ``REPRO_ENGINE``).
-ENGINES = ("simple", "fast", "trace")
+#: Execution engines (see :mod:`repro.machine`): the reference
+#: interpreter and the predecoded block engine.  ``ProfileSpec.engine``
+#: is one of these or ``None`` (defer to the Machine default /
+#: ``REPRO_ENGINE``).
+ENGINES = ("simple", "fast")
 
 #: Human-facing run labels (``ProfileRun.label``), per mode.
 LABELS = {

@@ -22,14 +22,13 @@ Three independent facilities live here:
 
 * :func:`measure_vm_speed` / :func:`measure_instrumented_speed` — time
   the SPEC95-like suite under ``engine="simple"`` (the reference
-  if/elif interpreter), ``engine="fast"`` (the predecoded block
-  engine), and ``engine="trace"`` (the superblock trace tier),
-  uninstrumented or under the three instrumented profiling modes
-  (flow+HW, context+HW, combined flow+context).  Each measurement
-  asserts all engines agree bit-for-bit on every counter, the return
+  if/elif interpreter) and ``engine="fast"`` (the predecoded block
+  engine), uninstrumented or under the three instrumented profiling
+  modes (flow+HW, context+HW, combined flow+context).  Each measurement
+  asserts both engines agree bit-for-bit on every counter, the return
   value, and per-region miss attribution before reporting a speedup,
-  and folds each machine's decode-cache and trace-tier statistics into
-  the per-tier payload entries; the results back
+  and folds each machine's decode-cache statistics into the per-pass
+  payload entries; the results back
   ``BENCH_vm_speed.json`` and ``BENCH_instrumented_speed.json`` at the
   repository root.
 
@@ -212,24 +211,13 @@ CODEGEN_STAT_KEYS = (
     "compile_cache_hits",
 )
 
-#: ``Machine.trace_stats`` keys folded into trace-tier bench payloads.
-TRACE_STAT_KEYS = (
-    "traces_compiled",
-    "traces_generated",
-    "trace_blocks",
-    "trace_entries",
-    "disk_cache_hits",
-    "disk_cache_misses",
-)
-
-
 def _suite_pass(machines) -> Tuple[int, float, list, Dict[str, int]]:
     """Run prepared ``(name, machine)`` pairs; time only ``run()``.
 
     Returns ``(total instructions, seconds, per-run facts, stats)``
     where the facts — counters, return value, region misses — are what
     engine equality is asserted on and ``stats`` sums every machine's
-    ``codegen_stats`` and ``trace_stats``.
+    ``codegen_stats``.
     """
     total_instructions = 0
     elapsed = 0.0
@@ -241,9 +229,8 @@ def _suite_pass(machines) -> Tuple[int, float, list, Dict[str, int]]:
         elapsed += time.perf_counter() - start
         total_instructions += result.instructions
         facts.append((name, result.counters, result.return_value, result.region_misses))
-        for source in (machine.codegen_stats, machine.trace_stats):
-            for key, value in source.items():
-                stats[key] = stats.get(key, 0) + value
+        for key, value in machine.codegen_stats.items():
+            stats[key] = stats.get(key, 0) + value
     return total_instructions, elapsed, facts, stats
 
 
@@ -257,28 +244,25 @@ def _best_pass(n: int, fn) -> Tuple[int, float, list, Dict[str, int]]:
     return best
 
 
-def _tier_entry(
-    instructions: int, seconds: float, stats: Dict[str, int], keys: Sequence[str]
-) -> Dict:
+def _tier_entry(instructions: int, seconds: float, stats: Dict[str, int]) -> Dict:
     entry = {
         "seconds": round(seconds, 4),
         "instructions_per_second": round(instructions / seconds),
     }
-    entry.update({key: stats.get(key, 0) for key in keys})
+    entry.update({key: stats.get(key, 0) for key in CODEGEN_STAT_KEYS})
     return entry
 
 
 def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
-    """Simple vs fast vs trace engine timings over one configuration.
+    """Simple vs fast engine timings over one configuration.
 
     ``make_pass(engine)`` yields ``(name, ready-to-run Machine)`` pairs
     and is called once per pass (fresh machines, fresh runtime state).
-    The simple engine and the warm fast/trace passes run best-of-two;
-    the cold passes (first decode + compile) are timed once, each after
-    emptying the process-wide compile cache so earlier passes cannot
-    warm it.  Raises ``AssertionError`` unless all passes produced
-    identical facts — the bit-exactness contract every engine tier
-    must honour.
+    The simple engine and the warm fast pass run best-of-two; the cold
+    fast pass (first decode + compile) is timed once, after emptying
+    the process-wide compile cache so the simple passes cannot warm
+    it.  Raises ``AssertionError`` unless all passes produced identical
+    facts — the bit-exactness contract the fast engine must honour.
     """
     from repro.machine.engine import _compile_block
 
@@ -290,17 +274,7 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
     warm_i, warm_t, warm_facts, warm_stats = _best_pass(
         2, lambda: _suite_pass(make_pass("fast"))
     )
-    _compile_block.cache_clear()
-    tcold_i, tcold_t, tcold_facts, tcold_stats = _suite_pass(make_pass("trace"))
-    twarm_i, twarm_t, twarm_facts, twarm_stats = _best_pass(
-        2, lambda: _suite_pass(make_pass("trace"))
-    )
-    passes = {
-        "fast_cold": cold_facts,
-        "fast_warm": warm_facts,
-        "trace_cold": tcold_facts,
-        "trace_warm": twarm_facts,
-    }
+    passes = {"fast_cold": cold_facts, "fast_warm": warm_facts}
     for label, facts in passes.items():
         if facts != simple_facts:
             diverging = [
@@ -317,18 +291,10 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
             "seconds": round(simple_t, 4),
             "instructions_per_second": round(simple_i / simple_t),
         },
-        "fast_cold": _tier_entry(cold_i, cold_t, cold_stats, CODEGEN_STAT_KEYS),
-        "fast_warm": _tier_entry(warm_i, warm_t, warm_stats, CODEGEN_STAT_KEYS),
-        "trace_cold": _tier_entry(
-            tcold_i, tcold_t, tcold_stats, CODEGEN_STAT_KEYS + TRACE_STAT_KEYS
-        ),
-        "trace_warm": _tier_entry(
-            twarm_i, twarm_t, twarm_stats, CODEGEN_STAT_KEYS + TRACE_STAT_KEYS
-        ),
+        "fast_cold": _tier_entry(cold_i, cold_t, cold_stats),
+        "fast_warm": _tier_entry(warm_i, warm_t, warm_stats),
         "speedup_cold": round(simple_t / cold_t, 2),
         "speedup_warm": round(simple_t / warm_t, 2),
-        "speedup_trace_cold": round(simple_t / tcold_t, 2),
-        "speedup_trace_warm": round(simple_t / twarm_t, 2),
     }
 
 

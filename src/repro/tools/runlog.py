@@ -24,15 +24,10 @@ Events share a small envelope — ``seq`` (monotonic per writer),
 ``run_failed``            ``shard``, ``attempts``, ``reason``
 ``phase``                 ``phase`` (clone/instrument/decode/run/collect,
                           plus ``store`` when the run is persisted to a
-                          profile store, and ``trace_compile`` /
-                          ``cache_hit`` after a trace-engine run),
-                          ``mode``, ``seconds``; the decode phase adds
-                          ``engine``, the run phase ``instructions`` and
-                          ``cycles``, the store phase ``run_id`` and
-                          ``workload``, the trace_compile phase the
-                          machine's trace statistics (``traces_compiled``,
-                          ``disk_cache_hits``, ...), the cache_hit phase
-                          ``disk_cache_hits`` (emitted by
+                          profile store), ``mode``, ``seconds``; the
+                          decode phase adds ``engine``, the run phase
+                          ``instructions`` and ``cycles``, the store
+                          phase ``run_id`` and ``workload`` (emitted by
                           :class:`repro.session.ProfileSession`)
 ========================  ====================================================
 

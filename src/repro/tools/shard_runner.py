@@ -264,10 +264,9 @@ def spec_to_json(spec: ShardSpec) -> dict:
 def spec_from_json(raw: dict) -> ShardSpec:
     """Inverse of :func:`spec_to_json` (unknown keys are ignored).
 
-    Legacy manifests — written before the profiling configuration was
-    an embedded :class:`~repro.session.ProfileSpec` — carried ``mode``
-    / ``engine`` / ``placement`` / ``by_site`` / ``inputs`` at top
-    level; they still load.
+    The embedded ``profile`` object is required: a spec without one
+    raises :class:`~repro.session.ProfileSpecError` rather than
+    resuming under default profiling knobs.
     """
     kwargs = {
         key: raw[key]
@@ -276,14 +275,7 @@ def spec_from_json(raw: dict) -> ShardSpec:
         )
         if key in raw
     }
-    if isinstance(raw.get("profile"), dict):
-        kwargs["profile"] = ProfileSpec.from_json(raw["profile"])
-    else:
-        for key in ("inputs", "mode", "engine", "placement", "by_site"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "inputs" in kwargs:
-            kwargs["inputs"] = tuple(tuple(args) for args in kwargs["inputs"])
+    kwargs["profile"] = ProfileSpec.from_json(raw.get("profile"))
     return ShardSpec(**kwargs)
 
 
@@ -428,6 +420,16 @@ def load_manifest(path: str) -> dict:
         ) from exc
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ShardCheckpointError(path, "not a shard run manifest")
+    spec = payload.get("spec")
+    if not isinstance(spec, dict):
+        raise ShardCheckpointError(path, "run manifest has no spec object")
+    if not isinstance(spec.get("profile"), dict):
+        raise ShardCheckpointError(path, "run manifest spec has no profile object")
+    shards = payload.get("shards")
+    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+        raise ShardCheckpointError(
+            path, f"run manifest shards must be a positive integer, got {shards!r}"
+        )
     return payload
 
 

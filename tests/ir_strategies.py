@@ -146,9 +146,8 @@ def ir_programs(draw, max_trip: int = 5) -> Program:
     """A random valid program: DAG of 1–3 helpers plus ``main()``.
 
     ``max_trip`` bounds loop trip counts.  The default keeps runs
-    short; ``ir_hot_programs`` raises it so counted loops cross the
-    trace tier's default heat threshold and compiled superblocks both
-    loop and deoptimize at their exits.
+    short; ``ir_hot_programs`` raises it so counted loops take their
+    back-edges many times before exiting.
     """
     helper_count = draw(st.integers(min_value=1, max_value=3))
     names = [f"f{index}" for index in range(helper_count)]
@@ -170,7 +169,7 @@ def ir_programs(draw, max_trip: int = 5) -> Program:
 
 
 def ir_hot_programs():
-    """Programs whose loops run 8–32 iterations: trace-tier fodder."""
+    """Programs whose loops run 8–32 iterations: hot back-edges."""
     return ir_programs(max_trip=32)
 
 

@@ -127,6 +127,14 @@ class TestTable:
         assert "130.li" in out
 
 
+class TestRetiredVerbs:
+    def test_cache_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--stats"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'cache'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_instrumented_bench_writes_gate_json(self, tmp_path, capsys):
         import json
@@ -179,6 +187,29 @@ class TestBench:
         payload = json.loads(out.read_text())
         assert payload["workloads"] == 1
         assert payload["simulated_instructions"] > 0
+
+    def test_payload_carries_only_simple_and_fast_passes(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "BENCH_vm_speed.json"
+        assert main(
+            ["bench", "--scale", "0.1", "--workloads", "129.compress",
+             "--check-only", "--out", str(out)]
+        ) == 0
+        printed = capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        passes = {"simple", "fast_cold", "fast_warm"}
+        assert passes <= set(payload)
+        assert not any("trace" in key for key in payload)
+        assert "trace" not in printed
+        from repro.tools.bench_runner import CODEGEN_STAT_KEYS
+
+        for name in ("fast_cold", "fast_warm"):
+            assert set(payload[name]) == {
+                "seconds", "instructions_per_second", *CODEGEN_STAT_KEYS
+            }
+        assert payload["fast_cold"]["source_cache_misses"] > 0
+        assert payload["fast_warm"]["source_cache_misses"] == 0
 
     def test_unreachable_minimum_fails(self, tmp_path, capsys):
         assert (
@@ -397,6 +428,17 @@ class TestShardRun:
         assert err.startswith("error: ")
         assert str(manifest) in err
 
+    def test_resume_manifest_without_spec_is_one_line_error(self, tmp_path, capsys):
+        import json
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "repro-shard-manifest-v1"}))
+        assert main(["shard-run", "--resume", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no spec object" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_file_required_without_resume(self):
         with pytest.raises(SystemExit, match="FILE required"):
             main(["shard-run", "--shards", "2"])
@@ -466,6 +508,13 @@ class TestProfile:
         assert main(["profile", source_file, "1", "--pic1", "BOGUS"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown pic1_event 'BOGUS'")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_retired_trace_engine_is_one_line_error(self, source_file, capsys):
+        assert main(["profile", source_file, "1", "--engine", "trace"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown engine 'trace'")
+        assert "('simple', 'fast')" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_shard_run_logs_phases(self, source_file, tmp_path, capsys):

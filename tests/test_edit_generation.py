@@ -64,6 +64,52 @@ def test_in_place_mutation_with_note_edit_is_picked_up():
     assert machine.run().return_value == 3
 
 
+def _facts(result):
+    return dict(result.counters), result.return_value, dict(result.region_misses)
+
+
+def test_note_edit_redecodes_only_the_edited_block():
+    """The per-run sweep evicts exactly the blocks whose generation
+    moved: the rest of the program keeps its decodings, and the rerun
+    still matches the reference interpreter on every counter."""
+    program = parse_program(_LOOP)
+    machine = Machine(program, engine="fast")
+    simple = Machine(program, engine="simple")
+    first = machine.run()
+    assert _facts(first) == _facts(simple.run())
+    before = dict(machine.codegen_stats)
+
+    entry = program.functions["main"].block("entry")
+    entry.instrs[0] = Const(entry.instrs[0].dst, 7)  # r0 starts at 7
+    entry.note_edit()
+    second = machine.run()
+    assert _facts(second) == _facts(simple.run())
+    assert second.return_value == first.return_value + 7
+    assert machine.codegen_stats["decoded_blocks"] == before["decoded_blocks"] + 1
+    assert (
+        machine.codegen_stats["source_cache_misses"]
+        == before["source_cache_misses"] + 1
+    )
+
+
+def test_invalidate_decoded_reaches_other_machines():
+    """An in-place mutation the editor never saw, published through one
+    machine's ``invalidate_decoded``, reaches every machine simulating
+    the same program — none of them reuses its stale decoding."""
+    program = parse_program(_LOOP)
+    publisher = Machine(program, engine="fast")
+    bystander = Machine(program, engine="fast")
+    reference = Machine(program, engine="simple")
+    assert publisher.run().return_value == bystander.run().return_value == 10
+    reference.run()
+
+    program.functions["main"].block("entry").instrs[1].value = 4
+    publisher.invalidate_decoded()
+    expected = reference.run()
+    assert expected.return_value == 4
+    assert _facts(bystander.run()) == _facts(expected)
+
+
 def test_instrumentation_splices_bump_generations():
     program = parse_program(_LOOP)
     main = program.functions["main"]

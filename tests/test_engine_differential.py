@@ -1,19 +1,18 @@
-"""Differential check: the compiled engine tiers vs the reference loop.
+"""Differential check: the compiled engine vs the reference loop.
 
 For every SPEC95-like workload, run the simulator under
-``engine="simple"`` (the reference if/elif interpreter),
-``engine="fast"`` (the predecoded block engine), and ``engine="trace"``
-(the superblock trace tier) in four configurations — uninstrumented, path-instrumented ("Flow and HW"),
-CCT-instrumented ("Context and HW"), and combined flow+context — and
-require bit-identical counter snapshots, return values, per-region
-miss attribution, path profiles (counts *and* per-path metrics), and
-exact CCT state (:func:`~repro.cct.merge.strict_form`: every record,
-slot, address, and serialized byte).
+``engine="simple"`` (the reference if/elif interpreter) and
+``engine="fast"`` (the predecoded block engine) in four configurations
+— uninstrumented, path-instrumented ("Flow and HW"), CCT-instrumented
+("Context and HW"), and combined flow+context — and require
+bit-identical counter snapshots, return values, per-region miss
+attribution, path profiles (counts *and* per-path metrics), and exact
+CCT state (:func:`~repro.cct.merge.strict_form`: every record, slot,
+address, and serialized byte).
 
 This is the acceptance gate for the engine's fused instrumentation
-probes and the trace tier's deoptimization protocol: any divergence in
-any of the sixteen counters, any path count, or any CCT record on any
-workload is a bug in the compiled tier.
+probes: any divergence in any of the sixteen counters, any path count,
+or any CCT record on any workload is a bug in the compiled engine.
 """
 
 import dataclasses
@@ -75,45 +74,32 @@ def _assert_identical(name, config, simple_run, fast_run):
 MODES = ("flow_hw", "context_hw", "context_flow")
 
 
-#: Engine tiers checked against the reference interpreter.
-TIERS = ("fast", "trace")
-
-
 @pytest.mark.parametrize("name", SPEC95)
 def test_engines_agree(name):
     program = build_workload(name, SCALE)
     simple = PP(engine="simple")
-    reference = {"base": simple.baseline(program)}
+    fast = PP(engine="fast")
+    _assert_identical(name, "base", simple.baseline(program), fast.baseline(program))
     for mode in MODES:
-        reference[mode] = getattr(simple, mode)(program)
-
-    for engine in TIERS:
-        tier = PP(engine=engine)
         _assert_identical(
-            name, f"base/{engine}", reference["base"], tier.baseline(program)
+            name, mode, getattr(simple, mode)(program), getattr(fast, mode)(program)
         )
-        for mode in MODES:
-            _assert_identical(
-                name, f"{mode}/{engine}", reference[mode], getattr(tier, mode)(program)
-            )
 
 
 @pytest.mark.parametrize("name", SPEC95)
 def test_engines_agree_kflow(name):
-    """Multi-iteration path profiling across every tier and span: the
+    """Multi-iteration path profiling across every span: the
     k-iteration probes (packed path+layer register, cycle commits at
     back-edges, layer-indexed exit commits) must survive fusion into
-    the fast engine's segments and the trace tier's deopt protocol
-    with bit-identical counters and k-path tables."""
+    the fast engine's segments with bit-identical counters and k-path
+    tables."""
     program = build_workload(name, SCALE)
     simple = PP(engine="simple")
+    fast = PP(engine="fast")
     for k in (1, 2, 4):
-        reference = simple.kflow(program, k=k)
-        for engine in TIERS:
-            tier = PP(engine=engine)
-            _assert_identical(
-                name, f"kflow[k={k}]/{engine}", reference, tier.kflow(program, k=k)
-            )
+        _assert_identical(
+            name, f"kflow[k={k}]", simple.kflow(program, k=k), fast.kflow(program, k=k)
+        )
 
 
 @pytest.mark.parametrize("name", SPEC95)
@@ -123,22 +109,15 @@ def test_engines_agree_under_sharding(name):
     counter totals regardless of which execution engine the workers
     use."""
     base = spec_for_workload(name, scale=SCALE, runs=2, mode="context_hw")
-    outcomes = {
-        engine: shard_run(dataclasses.replace(base, engine=engine), 2, jobs=1)
-        for engine in ("simple", *TIERS)
+    simple, fast = (
+        shard_run(dataclasses.replace(base, engine=engine), 2, jobs=1)
+        for engine in ("simple", "fast")
+    )
+    diverging = {
+        event: (simple.counters[event], fast.counters[event])
+        for event in Event
+        if simple.counters[event] != fast.counters[event]
     }
-    simple = outcomes["simple"]
-    for engine in TIERS:
-        tier = outcomes[engine]
-        diverging = {
-            event: (simple.counters[event], tier.counters[event])
-            for event in Event
-            if simple.counters[event] != tier.counters[event]
-        }
-        assert not diverging, f"{name}/sharded/{engine}: counter divergence {diverging}"
-        assert simple.return_values == tier.return_values, (
-            f"{name}/sharded/{engine}: returns"
-        )
-        assert strict_form(simple.cct) == strict_form(tier.cct), (
-            f"{name}/sharded/{engine}: cct"
-        )
+    assert not diverging, f"{name}/sharded: counter divergence {diverging}"
+    assert simple.return_values == fast.return_values, f"{name}/sharded: returns"
+    assert strict_form(simple.cct) == strict_form(fast.cct), f"{name}/sharded: cct"

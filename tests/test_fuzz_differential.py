@@ -1,21 +1,17 @@
-"""Differential fuzzing: every engine tier, random programs, every mode.
+"""Differential fuzzing: both engines, random programs, every mode.
 
 The hand-built workload suite exercises the engines on *realistic*
 control flow; this suite exercises them on *adversarial* control flow
 — randomly composed branches, counted loops, call DAGs, and scratch
 loads/stores from ``tests/ir_strategies.py`` — and requires the
-predecoded engine and the superblock trace tier to match the reference
-interpreter bit for bit on every run fact: all sixteen hardware
-counters, the return value, per-region miss attribution, path profiles
-(counts and per-path metric vectors), and exact CCT state
-(:func:`strict_form`).
+predecoded engine to match the reference interpreter bit for bit on
+every run fact: all sixteen hardware counters, the return value,
+per-region miss attribution, path profiles (counts and per-path metric
+vectors), and exact CCT state (:func:`strict_form`).
 
-The trace tier's heat threshold is pinned low (``REPRO_TRACE_THRESHOLD
-= 2``) for every test here: generated loops run only a handful of
-iterations, and the whole point is to force traces to compile, run,
-and deoptimize on tiny adversarial programs.  A dedicated hot-loop
-test additionally draws programs with 8–32-iteration loops so compiled
-superblocks take their back-edge many times before deopting.
+Generated loops run only a handful of iterations, so dedicated
+hot-loop tests additionally draw programs with 8–32-iteration loops,
+where compiled segments and fused probes run many times per block.
 
 The examples are derandomized (fixed seed), so a CI failure is
 reproducible locally with the same example count.  The bound comes
@@ -24,7 +20,6 @@ from ``REPRO_FUZZ_EXAMPLES`` (default 15; CI's smoke job raises it).
 
 import os
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cct.merge import strict_form
@@ -38,28 +33,12 @@ EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "15"))
 #: Every instrumented profiling configuration of Table 1.
 MODES = ("flow_hw", "context_hw", "context_flow")
 
-#: Compiled engine tiers checked against the reference interpreter.
-TIERS = ("fast", "trace")
-
 FUZZ_SETTINGS = settings(
     max_examples=EXAMPLES,
     derandomize=True,
     deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        HealthCheck.data_too_large,
-        # The autouse threshold fixture is per-test, not per-example,
-        # which is exactly what we want (it only sets an env var).
-        HealthCheck.function_scoped_fixture,
-    ],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@pytest.fixture(autouse=True)
-def _hot_traces(monkeypatch):
-    # Fuzzed loops run 1–5 iterations; drop the heat threshold so the
-    # trace tier actually compiles (and deopts) on these tiny programs.
-    monkeypatch.setenv("REPRO_TRACE_THRESHOLD", "2")
 
 
 def _facts(run):
@@ -79,55 +58,54 @@ def _path_facts(run):
     }
 
 
-def _assert_engines_identical(config, simple_run, tier_run):
+def _assert_engines_identical(config, simple_run, fast_run):
     simple_counters, simple_rv, simple_rm = _facts(simple_run)
-    tier_counters, tier_rv, tier_rm = _facts(tier_run)
+    fast_counters, fast_rv, fast_rm = _facts(fast_run)
     diverging = {
-        event.name: (simple_counters.get(event), tier_counters.get(event))
+        event.name: (simple_counters.get(event), fast_counters.get(event))
         for event in Event
-        if simple_counters.get(event) != tier_counters.get(event)
+        if simple_counters.get(event) != fast_counters.get(event)
     }
     assert not diverging, f"{config}: counter divergence {diverging}"
-    assert simple_rv == tier_rv, f"{config}: return value"
-    assert simple_rm == tier_rm, f"{config}: region misses"
-    assert _path_facts(simple_run) == _path_facts(tier_run), (
+    assert simple_rv == fast_rv, f"{config}: return value"
+    assert simple_rm == fast_rm, f"{config}: region misses"
+    assert _path_facts(simple_run) == _path_facts(fast_run), (
         f"{config}: path profiles diverge"
     )
-    if simple_run.cct is not None or tier_run.cct is not None:
-        assert strict_form(simple_run.cct) == strict_form(tier_run.cct), (
+    if simple_run.cct is not None or fast_run.cct is not None:
+        assert strict_form(simple_run.cct) == strict_form(fast_run.cct), (
             f"{config}: CCT state diverges"
         )
 
 
-def _check_all_tiers(config, mode, program):
+def _check_engines(config, mode, program):
     simple = getattr(PP(engine="simple"), mode)(program)
-    for engine in TIERS:
-        tier = getattr(PP(engine=engine), mode)(program)
-        _assert_engines_identical(f"{config}/{engine}", simple, tier)
+    fast = getattr(PP(engine="fast"), mode)(program)
+    _assert_engines_identical(config, simple, fast)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_programs())
 def test_fuzz_engines_agree_uninstrumented(program):
-    _check_all_tiers("base", "baseline", program)
+    _check_engines("base", "baseline", program)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_programs())
 def test_fuzz_engines_agree_flow(program):
-    _check_all_tiers("flow_hw", "flow_hw", program)
+    _check_engines("flow_hw", "flow_hw", program)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_programs())
 def test_fuzz_engines_agree_context(program):
-    _check_all_tiers("context_hw", "context_hw", program)
+    _check_engines("context_hw", "context_hw", program)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_programs())
 def test_fuzz_engines_agree_combined(program):
-    _check_all_tiers("context_flow", "context_flow", program)
+    _check_engines("context_flow", "context_flow", program)
 
 
 #: Iteration spans the multi-iteration path mode is fuzzed at.  k=1 is
@@ -140,35 +118,32 @@ KFLOW_SPANS = (1, 2, 4)
 @given(program=ir_programs())
 def test_fuzz_engines_agree_kflow(program):
     """Multi-iteration path probes (KPathAdd/KHwcCycle/KHwcExit) fuse
-    into the compiled tiers bit-identically for every iteration span:
+    into the compiled engine bit-identically for every iteration span:
     same counters, same k-path counts, same per-path metric vectors."""
     for k in KFLOW_SPANS:
         simple = PP(engine="simple").kflow(program, k=k)
-        for engine in TIERS:
-            tier = PP(engine=engine).kflow(program, k=k)
-            _assert_engines_identical(f"kflow[k={k}]/{engine}", simple, tier)
+        fast = PP(engine="fast").kflow(program, k=k)
+        _assert_engines_identical(f"kflow[k={k}]", simple, fast)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_hot_programs())
-def test_fuzz_trace_agrees_on_hot_kflow_loops(program):
-    """Hot loops under k=2: compiled superblocks carry the packed
-    path+layer register across many back-edges — every cycle commit
-    and the deopt handoff must preserve it exactly."""
+def test_fuzz_engines_agree_on_hot_kflow_loops(program):
+    """Hot loops under k=2: the packed path+layer register crosses
+    many back-edges — every cycle commit must preserve it exactly."""
     simple = PP(engine="simple").kflow(program, k=2)
-    for engine in TIERS:
-        tier = PP(engine=engine).kflow(program, k=2)
-        _assert_engines_identical(f"hot/kflow[k=2]/{engine}", simple, tier)
+    fast = PP(engine="fast").kflow(program, k=2)
+    _assert_engines_identical("hot/kflow[k=2]", simple, fast)
 
 
 @FUZZ_SETTINGS
 @given(program=ir_hot_programs())
-def test_fuzz_trace_agrees_on_hot_loops(program):
-    """Hot counted loops: compiled superblocks take their back-edge
-    many times, then deoptimize at the loop exit — under the mode
-    where every flow probe is fused into the trace body."""
-    _check_all_tiers("hot/base", "baseline", program)
-    _check_all_tiers("hot/flow_hw", "flow_hw", program)
+def test_fuzz_engines_agree_on_hot_loops(program):
+    """Hot counted loops take their back-edge many times before the
+    loop exit — uninstrumented and under the mode where every flow
+    probe is fused into generated segment code."""
+    _check_engines("hot/base", "baseline", program)
+    _check_engines("hot/flow_hw", "flow_hw", program)
 
 
 @FUZZ_SETTINGS
@@ -180,6 +155,6 @@ def test_fuzz_reference_interpreter_agrees(program):
     from repro.machine.reference import ReferenceInterpreter
 
     expected = ReferenceInterpreter(program).run()
-    for engine in ("simple", *TIERS):
+    for engine in ("simple", "fast"):
         run = PP(engine=engine).baseline(program)
         assert run.result.return_value == expected, engine

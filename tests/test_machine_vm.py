@@ -437,7 +437,7 @@ class TestCostModel:
         with pytest.raises(MachineError, match="budget"):
             Machine(program, config).run()
 
-    @pytest.mark.parametrize("engine", ["simple", "fast", "trace"])
+    @pytest.mark.parametrize("engine", ["simple", "fast"])
     def test_budget_overshoot_bounded_in_huge_block(self, engine):
         # A single straight-line block far larger than the budget: the
         # run must still fail, and the overshoot past the budget must
@@ -451,6 +451,44 @@ class TestCostModel:
             f"func main(0) regs=4 {{\nentry:\n const r0, 0\n{body}\n ret r0\n}}"
         )
         config = MachineConfig(max_instructions=100)
+        machine = Machine(program, config, engine=engine)
+        with pytest.raises(MachineError, match="budget"):
+            machine.run()
+        overshoot = machine.counters[Event.INSTRS] - config.max_instructions
+        assert 0 <= overshoot <= SEGMENT_CAP
+
+    @pytest.mark.parametrize("engine", ["simple", "fast"])
+    def test_budget_overshoot_bounded_in_hot_loop(self, engine):
+        # A long loop of short blocks with a biased branch: the budget
+        # trips mid-iteration, and neither engine may retire more than
+        # one codegen segment past it.
+        from repro.machine.engine import SEGMENT_CAP
+
+        program = parse_program(
+            """
+            func main(0) regs=4 {
+            entry:
+                const r0, 0
+                const r1, 10000
+                br head
+            head:
+                cbr r1, body, exit
+            body:
+                add r0, r0, 3
+                and r2, r0, 7
+                cbr r2, cont, rare
+            rare:
+                add r0, r0, 11
+                br cont
+            cont:
+                sub r1, r1, 1
+                br head
+            exit:
+                ret r0
+            }
+            """
+        )
+        config = MachineConfig(max_instructions=200)
         machine = Machine(program, config, engine=engine)
         with pytest.raises(MachineError, match="budget"):
             machine.run()
@@ -513,8 +551,58 @@ class TestEngineDispatch:
         assert simple.return_value == fast.return_value == 10
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(MachineError, match="unknown engine"):
+        with pytest.raises(MachineError, match="unknown engine 'turbo'"):
             Machine(parse_program(self.ASM), engine="turbo").run()
+
+    def test_retired_trace_engine_rejected(self):
+        with pytest.raises(MachineError, match="unknown engine 'trace'"):
+            Machine(parse_program(self.ASM), engine="trace").run()
+
+    @pytest.mark.parametrize("engine", ["simple", "fast"])
+    def test_repro_engine_env_sets_the_default(self, engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        machine = Machine(parse_program(self.ASM))
+        assert machine.engine == engine
+        result = machine.run()
+        explicit = Machine(parse_program(self.ASM), engine=engine).run()
+        assert result.counters == explicit.counters
+        assert result.return_value == explicit.return_value == 10
+
+    def test_repro_engine_env_rejects_retired_trace(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "trace")
+        machine = Machine(parse_program(self.ASM))
+        with pytest.raises(MachineError, match="unknown engine 'trace'"):
+            machine.run()
+        # A per-run override still reaches a live engine.
+        assert machine.run(engine="fast").return_value == 10
+
+    def test_tracer_sees_identical_events_on_both_engines(self):
+        # The fast engine reports block entries from generated segment
+        # code; callers, returns and every block must arrive in exactly
+        # the order the reference interpreter reports them.
+        from tests.conftest import compile_corpus
+
+        class Recorder:
+            def __init__(self):
+                self.events = []
+
+            def on_enter(self, fname, site):
+                self.events.append(("enter", fname, site))
+
+            def on_exit(self, fname, value):
+                self.events.append(("exit", fname, value))
+
+            def on_block(self, fname, bname):
+                self.events.append(("block", fname, bname))
+
+        seen = {}
+        for engine in ("simple", "fast"):
+            machine = Machine(compile_corpus("calls"), engine=engine)
+            machine.tracer = Recorder()
+            result = machine.run()
+            seen[engine] = (machine.tracer.events, dict(result.counters))
+        assert any(kind == "enter" for kind, *_ in seen["simple"][0][1:])
+        assert seen["fast"] == seen["simple"]
 
     def test_run_survives_block_splicing(self):
         # Editing a block between runs must evict its cached decoding:

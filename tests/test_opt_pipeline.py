@@ -10,7 +10,7 @@ The contracts under test:
   read 0 inside the clone) — and respects its budgets;
 * the pipeline skips stale functions (restructured by an earlier
   pass) instead of mis-decoding their measured numbering;
-* an optimized program runs bit-identically under all three execution
+* an optimized program runs bit-identically under both execution
   engines, on the corpus and on hypothesis-generated IR.
 """
 
@@ -69,7 +69,7 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-ENGINES = ("simple", "fast", "trace")
+ENGINES = ("simple", "fast")
 
 
 def _profiled(source_or_program):
@@ -314,7 +314,7 @@ class TestPipeline:
 
 
 class TestPipelineDifferential:
-    """Satellite: optimized programs agree across all three engines."""
+    """Satellite: optimized programs agree across both engines."""
 
     def _optimize(self, program):
         program, run, profile = _profiled(program)

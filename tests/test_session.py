@@ -175,6 +175,14 @@ class TestSpecValidation:
         with pytest.raises(ProfileSpecError, match="context_flow"):
             ProfileSpec(mode="bogus")
 
+    @pytest.mark.parametrize("engine", ["warp", "trace"])
+    def test_spec_rejects_unknown_engine(self, engine):
+        expected = rf"unknown engine '{engine}'; options: \('simple', 'fast'\)"
+        with pytest.raises(ProfileSpecError, match=expected):
+            ProfileSpec(engine=engine)
+        with pytest.raises(ProfileSpecError, match=expected):
+            ProfileSpec.from_json({**ProfileSpec().to_json(), "engine": engine})
+
     def test_unknown_placement_rejected(self):
         with pytest.raises(ProfileSpecError, match="unknown placement"):
             ProfileSpec(placement="scattered")
@@ -251,6 +259,17 @@ class TestPhaseEvents:
         assert decode["engine"] in ("simple", "fast")
         run = next(e for e in events if e["phase"] == "run")
         assert run["instructions"] > 0 and run["cycles"] > 0
+
+    @pytest.mark.parametrize("engine", ["simple", "fast"])
+    def test_phase_sequence_is_the_same_on_every_engine(self, tmp_path, engine):
+        program = compile_corpus("loop")
+        path = str(tmp_path / "run.log.jsonl")
+        session = ProfileSession(log=RunLog(path))
+        session.run(ProfileSpec(mode="flow_hw", engine=engine), program)
+        events = read_run_log(path)
+        assert [e["phase"] for e in events] == list(PHASES)
+        decode = next(e for e in events if e["phase"] == "decode")
+        assert decode["engine"] == engine
 
     def test_phases_accumulate_across_runs(self, tmp_path):
         program = compile_corpus("loop")

@@ -7,6 +7,7 @@ identical Table-3 statistics, identical hot-path classification, and
 identical totals across all sixteen hardware event counters.
 """
 
+import json
 import os
 
 import pytest
@@ -15,7 +16,10 @@ from repro.cct.merge import canonical_form, strict_form
 from repro.cct.stats import cct_statistics
 from repro.machine.counters import NUM_EVENTS, Event
 from repro.profiles.hotpaths import classify_paths
+from repro.session import ProfileSpecError
 from repro.tools.shard_runner import (
+    MANIFEST_FORMAT,
+    ShardCheckpointError,
     ShardSpec,
     flow_template,
     load_manifest,
@@ -250,32 +254,51 @@ class TestManifestAndResume:
         assert revived == spec
         assert revived.profile.digest() == spec.profile.digest()
 
-    def test_legacy_manifest_spec_still_loads(self):
-        # Manifests written before the embedded ProfileSpec carried the
-        # profiling knobs at top level; they must keep resuming.
-        raw = {
-            "workload": None,
-            "scale": 1.0,
-            "source": SOURCE,
-            "asm": None,
-            "inputs": [[4], [7]],
-            "mode": "context_hw",
-            "engine": "simple",
-            "retries": 3,
-            "timeout": 7.5,
-            "backoff": 0.25,
+    @staticmethod
+    def _write_manifest(tmp_path, **changes):
+        payload = {
+            "format": MANIFEST_FORMAT,
+            "spec": spec_to_json(ShardSpec(source=SOURCE, inputs=INPUTS)),
+            "shards": 2,
+            "entries": [],
         }
-        spec = spec_from_json(raw)
-        assert spec == ShardSpec(
-            source=SOURCE,
-            inputs=((4,), (7,)),
-            mode="context_hw",
-            engine="simple",
-            retries=3,
-            timeout=7.5,
-            backoff=0.25,
-        )
-        assert spec.profile.mode == "context_hw"
+        payload.update(changes)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_manifest_without_spec_is_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format": MANIFEST_FORMAT}))
+        with pytest.raises(ShardCheckpointError, match="no spec object"):
+            load_manifest(str(path))
+        with pytest.raises(ShardCheckpointError, match="no spec object"):
+            resume_run(str(path))
+
+    @pytest.mark.parametrize("profile", [None, "context_flow", [1, 2]])
+    def test_manifest_spec_without_profile_object_is_rejected(self, tmp_path, profile):
+        spec = spec_to_json(ShardSpec(source=SOURCE, inputs=INPUTS))
+        if profile is None:
+            del spec["profile"]
+        else:
+            spec["profile"] = profile
+        path = self._write_manifest(tmp_path, spec=spec)
+        with pytest.raises(ShardCheckpointError, match="no profile object"):
+            load_manifest(path)
+        with pytest.raises(ShardCheckpointError, match="no profile object"):
+            resume_run(path)
+
+    def test_spec_without_profile_is_rejected(self):
+        raw = spec_to_json(ShardSpec(source=SOURCE, inputs=INPUTS))
+        del raw["profile"]
+        with pytest.raises(ProfileSpecError, match="must be an object"):
+            spec_from_json(raw)
+
+    @pytest.mark.parametrize("shards", [None, 0, -1, "2", 1.5, True])
+    def test_manifest_shards_must_be_a_positive_int(self, tmp_path, shards):
+        path = self._write_manifest(tmp_path, shards=shards)
+        with pytest.raises(ShardCheckpointError, match="positive integer"):
+            load_manifest(path)
 
     def test_manifest_describes_the_split(self, tmp_path):
         spec = ShardSpec(source=SOURCE, inputs=INPUTS)

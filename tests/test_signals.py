@@ -9,6 +9,7 @@ interrupted.
 
 import pytest
 
+from repro.cct.merge import strict_form
 from repro.cct.runtime import CCTRuntime
 from repro.instrument.cctinstr import instrument_context
 from repro.instrument.pathinstr import instrument_paths
@@ -161,3 +162,47 @@ class TestSignalsAndPathProfiling:
         # compute's loop paths: 40 iterations x 50 calls all accounted.
         compute_total = sum(flow.path_counts("compute").values())
         assert compute_total == 50 * 41  # 40 backedges + exit per call
+
+
+class TestEnginesAgreeUnderSignals:
+    """Handlers preempt at block boundaries on both engines: the fast
+    engine's generated segments must reach the same delivery points as
+    the reference interpreter, so every fact matches bit for bit."""
+
+    def _run(self, engine, instrument):
+        program = compile_source(SOURCE)
+        flow = cct = None
+        if instrument == "flow":
+            runtime = ProfilingRuntime(MemoryMap().profiling.base)
+            flow = instrument_paths(program, mode="hw", placement="simple",
+                                    runtime=runtime)
+        elif instrument == "context":
+            instrument_context(program)
+            cct = CCTRuntime(MemoryMap().cct.base, collect_hw=True)
+        machine = Machine(program, engine=engine)
+        if flow is not None:
+            machine.path_runtime = flow.runtime
+        machine.cct_runtime = cct
+        machine.install_signal(handler="on_tick", period=300)
+        result = machine.run()
+        facts = {
+            "counters": dict(result.counters),
+            "return_value": result.return_value,
+            "delivered": machine.signals_delivered,
+            "ticks": machine.memory.read(machine.memory.global_addr(0)),
+        }
+        if flow is not None:
+            facts["paths"] = {
+                name: (flow.path_counts(name), flow.path_metrics(name))
+                for name in flow.functions
+            }
+        if cct is not None:
+            facts["cct"] = strict_form(cct)
+        return facts
+
+    @pytest.mark.parametrize("instrument", ["none", "flow", "context"])
+    def test_fast_matches_simple(self, instrument):
+        simple = self._run("simple", instrument)
+        fast = self._run("fast", instrument)
+        assert simple["delivered"] > 0
+        assert fast == simple

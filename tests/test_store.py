@@ -168,6 +168,19 @@ class TestCorruption:
             store.load(bad_id)
         assert "malformed run record" in info.value.reason
 
+    def test_record_on_retired_trace_engine_is_typed_error(self, tmp_path):
+        from repro.machine.counters import Event
+
+        store = ProfileStore(str(tmp_path))
+        record = _record({Event.INSTRS: 500})
+        record["spec"]["engine"] = "trace"
+        run_id = store.save_record(record)
+        with pytest.raises(StoreError) as info:
+            store.load(run_id)
+        assert info.value.path == store._object_path(run_id)
+        assert "malformed run record (ProfileSpecError" in info.value.reason
+        assert "unknown engine 'trace'" in info.value.reason
+
 
 class TestRefs:
     def _three(self, root):
