@@ -1139,6 +1139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.cct.serialize import CCTLoadError
+    from repro.ir.asm import AsmError
+    from repro.ir.function import IRValidationError
+    from repro.lang import LangError
+    from repro.machine.vm import MachineError
     from repro.session import ProfileSpecError
     from repro.tools.shard_runner import ShardCheckpointError, ShardRunError
 
@@ -1147,14 +1151,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except (
+        AsmError,
         CCTLoadError,
+        IRValidationError,
+        LangError,
+        MachineError,
         ProfileSpecError,
         ShardCheckpointError,
         ShardRunError,
     ) as exc:
-        # Corrupt dumps, malformed specs, and exhausted shard retries
-        # are expected operational conditions: one line naming the
-        # offence, not a traceback.
+        # Malformed programs, simulated faults (bad calls, exhausted
+        # budgets), corrupt dumps, malformed specs, and exhausted shard
+        # retries are expected operational conditions: one line naming
+        # the offence, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ from repro.ir.instructions import (
     Ret,
     Setjmp,
     Store,
+    copy_instruction,
     is_terminator,
 )
 from repro.ir.function import (
@@ -91,6 +92,7 @@ __all__ = [
     "Ret",
     "Setjmp",
     "Store",
+    "copy_instruction",
     "format_block",
     "format_function",
     "format_instruction",

@@ -17,6 +17,7 @@ from repro.ir.instructions import (
     ICall,
     Instruction,
     Kind,
+    copy_instruction,
     is_terminator,
 )
 
@@ -215,6 +216,39 @@ class Program:
     def assign_all_call_sites(self) -> None:
         for function in self.functions.values():
             function.assign_call_sites()
+
+    def clone(self) -> "Program":
+        """A copy that passes and instrumentation can edit freely.
+
+        Functions, blocks, instruction lists, instructions (through
+        :func:`~repro.ir.instructions.copy_instruction`) and the function
+        table are new objects; everything immutable is shared.  An
+        instruction object that sits in two places stays one object in
+        the copy.  Each block keeps its edit generation and the fast
+        engine's compiled-code cache: the cached tuple is never mutated,
+        and any edit stamps a fresh generation that evicts it.
+        """
+        copies: Dict[int, Instruction] = {}
+        functions: Dict[str, Function] = {}
+        for name, function in self.functions.items():
+            blocks = []
+            for block in function.blocks:
+                instrs = []
+                for instr in block.instrs:
+                    new = copies.get(id(instr))
+                    if new is None:
+                        new = copies[id(instr)] = copy_instruction(instr)
+                    instrs.append(new)
+                cloned = Block(block.name, instrs)
+                cloned.edit_gen = block.edit_gen
+                cloned._decode_cache = block._decode_cache
+                blocks.append(cloned)
+            functions[name] = Function(
+                function.name, function.num_params, function.num_regs, blocks
+            )
+        program = Program(functions, self.entry, self.globals_size)
+        program.function_table = list(self.function_table)
+        return program
 
     def __repr__(self) -> str:
         return f"Program({len(self.functions)} functions, entry={self.entry!r})"

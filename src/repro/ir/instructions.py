@@ -693,3 +693,22 @@ _TERMINATORS = frozenset({Kind.BR, Kind.CBR, Kind.RET, Kind.LONGJMP})
 def is_terminator(instr: Instruction) -> bool:
     """True if ``instr`` must appear (only) as the last instruction of a block."""
     return instr.kind in _TERMINATORS
+
+
+def copy_instruction(instr: Instruction) -> Instruction:
+    """A copy of ``instr`` that owns its lists and shares every other field.
+
+    The only mutable field an instruction holds is the argument list of
+    :class:`Call`/:class:`ICall`; every other field is an int, str,
+    tuple or frozen :class:`Imm`, so the copy shares it.  Passes may
+    then reassign any field of the copy, or append to its ``args``,
+    without touching the original.
+    """
+    cls = instr.__class__
+    new = cls.__new__(cls)
+    for name in cls.__dataclass_fields__:
+        value = getattr(instr, name)
+        if value.__class__ is list:
+            value = list(value)
+        setattr(new, name, value)
+    return new

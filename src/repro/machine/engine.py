@@ -14,12 +14,15 @@ machine:
 * each segment's common instructions (const/move/binop/fbinop, loads,
   stores, conditional and unconditional branches, alloc and the
   path-register pseudo-ops) are compiled to one specialized Python
-  function — generated source with register numbers, immediates and
-  cost constants inlined as literals, ``exec``-ed once at decode time;
-  the values that only say *where* a block is (addresses, I-cache
-  lines, block and function names, table bases and capacities, CCT
-  proc ids) are bound as maker parameters instead, through
-  :meth:`_SegmentWriter.const`;
+  function — generated source with register numbers, counter indices,
+  cost sums, penalties and table strides inlined as literals,
+  ``exec``-ed once at decode time.  Those literals are the block's
+  *shape*; every other value is bound as a maker parameter through
+  :meth:`_SegmentWriter.const`: what the block computes with
+  (immediates, constants, load/store offsets, path increments, commit
+  ends and restarts, k-iteration value tuples, edge indices, CCT call
+  slots) and where it sits (addresses, I-cache lines, block and function
+  names, table bases and capacities, CCT proc ids);
 * the instrumentation hooks spliced by :mod:`repro.instrument` are
   **fused** into the generated source wherever their behaviour is
   static: array-table ``bump``/``accumulate`` fast paths with slot
@@ -76,11 +79,12 @@ share compiled code.
 
 Code objects come from :func:`_compile_block`, a process-wide LRU
 cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text.
-Because position-dependent values are parameters, structurally
-identical blocks — the same function in two deep-copied programs,
-twin helpers, repeated loop bodies — compile once.  The text is a
-sound key on its own: every constant the code depends on is either a
-literal in it or an argument bound per machine at decode time.
+Because operand values and positions are parameters, blocks of the
+same shape — the same function in two cloned programs, twin helpers,
+repeated loop bodies, blocks that differ only in an immediate or a
+path increment — compile once.  The text is a sound key on its own:
+every constant the code depends on is either a literal in it or an
+argument bound per machine at decode time.
 """
 
 from __future__ import annotations
@@ -177,11 +181,17 @@ _FLOAT_OP_FMT = {
 }
 
 
-def _literal(value) -> str:
-    """A source literal that evaluates to exactly ``value``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"float({str(value)!r})"
-    return repr(value)
+def _const_key(value) -> Tuple:
+    """Dedup key of a bound constant: equal keys mean interchangeable values.
+
+    Keyed by type as well as value so ``1``, ``1.0`` and ``True`` stay
+    apart, and by a float's sign so ``0.0`` and ``-0.0`` do too (they
+    compare equal but are different values).
+    """
+    cls = value.__class__
+    if cls is float:
+        return (cls, value, math.copysign(1.0, value))
+    return (cls, value)
 
 
 class DecodedBlock:
@@ -612,14 +622,15 @@ class _SegmentWriter:
     def const(self, value) -> str:
         """Source expression for a block-specific constant.
 
-        Addresses, I-cache lines, block and function names, table
-        bases and capacities and CCT proc ids become maker parameters
-        (named in first-use order, keyed by type as well as value so
-        ``1`` and ``True`` stay apart), so blocks that differ only in
-        where they sit emit byte-identical source and share one code
-        object.
+        Operand values (immediates, constants, offsets, path values,
+        edge and call-slot numbers) and positions (addresses, I-cache
+        lines, block and function names, table bases and capacities,
+        CCT proc ids) become maker parameters, named in first-use
+        order and deduplicated by :func:`_const_key`, so blocks that
+        differ only in those values emit byte-identical source and
+        share one code object.
         """
-        key = (value.__class__, value)
+        key = _const_key(value)
         name = self._consts.get(key)
         if name is None:
             name = f"_c{len(self._consts)}"
@@ -677,7 +688,7 @@ class _SegmentWriter:
 
     def _operand(self, value) -> str:
         if value.__class__ is Imm:
-            return _literal(value.value)
+            return self.const(value.value)
         return f"regs[{value}]"
 
     # -- instruction bodies ----------------------------------------------------
@@ -691,7 +702,7 @@ class _SegmentWriter:
             )
             self.emit(f"regs[{instr.dst}] = {expr}")
         elif kind == Kind.CONST:
-            self.emit(f"regs[{instr.dst}] = {_literal(instr.value)}")
+            self.emit(f"regs[{instr.dst}] = {self.const(instr.value)}")
         elif kind == Kind.MOVE:
             self.emit(f"regs[{instr.dst}] = regs[{instr.src}]")
         elif kind == Kind.FBINOP:
@@ -702,7 +713,7 @@ class _SegmentWriter:
             self.fp += self.fp_latencies[instr.op] - 1
         elif kind == Kind.LOAD or kind == Kind.FRAME_LOAD:
             if kind == Kind.LOAD:
-                offset = f" + {instr.offset}" if instr.offset else ""
+                offset = f" + {self.const(instr.offset)}" if instr.offset else ""
                 self.emit(f"_a = regs[{instr.base}]{offset}")
             else:
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
@@ -719,7 +730,7 @@ class _SegmentWriter:
             # included) before the body runs.
             if kind == Kind.STORE:
                 value = self._operand(instr.src)
-                offset = f" + {instr.offset}" if instr.offset else ""
+                offset = f" + {self.const(instr.offset)}" if instr.offset else ""
                 self.stores += 1
                 self.flush_costs()
                 self.emit(f"_a = regs[{instr.base}]{offset}")
@@ -740,11 +751,11 @@ class _SegmentWriter:
         elif kind == Kind.PATH_RESET:
             self.emit(f"regs[{instr.reg}] = 0")
         elif kind == Kind.PATH_ADD:
-            self.emit(f"regs[{instr.reg}] += {_literal(instr.value)}")
+            self.emit(f"regs[{instr.reg}] += {self.const(instr.value)}")
         elif kind == Kind.K_PATH_ADD:
             self.emit(f"_r = regs[{instr.reg}]")
             self.emit(
-                f"regs[{instr.reg}] = _r + {_literal(instr.values)}[_r % {instr.k}]"
+                f"regs[{instr.reg}] = _r + {self.const(instr.values)}[_r % {instr.k}]"
             )
         elif kind == Kind.BR:
             self.flush_costs()
@@ -855,7 +866,7 @@ class _SegmentWriter:
             slot = instr.slot if self.machine.cct_runtime.by_site else 0
             self.emit(
                 f"{rt}.gcsp = (({sh}[-1].record if {sh} else "
-                f"{self.param('cctroot')}), {slot})"
+                f"{self.param('cctroot')}), {self.const(slot)})"
             )
         elif op == "cct_enter":
             self._fuse_cct_enter(instr, index)
@@ -873,21 +884,21 @@ class _SegmentWriter:
 
     def _fuse_commit(self, instr, table) -> None:
         tc = self.param("tblc", instr.table)
-        self.emit(f"_i = regs[{instr.reg}] + {instr.end}")
+        self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
         self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
         if instr.reset_to is not None:
-            self.emit(f"regs[{instr.reg}] = {instr.reset_to}")
+            self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
     def _fuse_accum(self, instr, table) -> None:
         tc = self.param("tblc", instr.table)
         tm = self.param("tblm", instr.table)
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
-        self.emit(f"_i = regs[{instr.reg}] + {instr.end}")
+        self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
@@ -909,7 +920,7 @@ class _SegmentWriter:
             self.emit(f"{self.param('picz')}()")
             self.emit(f"{pr}()")
         if instr.reset_to is not None:
-            self.emit(f"regs[{instr.reg}] = {instr.reset_to}")
+            self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
     def _accum_slots(self, instr, table, indent: int) -> None:
         """The in-range accumulate body with ``_i`` and ``_p`` already set.
@@ -945,17 +956,17 @@ class _SegmentWriter:
         self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {k}")
         self.emit(f"if _l != {k - 1}:")
-        self.emit(f"    regs[{instr.reg}] = _r + {_literal(instr.cross)}[_l]")
+        self.emit(f"    regs[{instr.reg}] = _r + {self.const(instr.cross)}[_l]")
         self.emit("else:")
         self.emit(f"    _p = {pr}()")
-        self.emit(f"    _i = (_r - _l) // {k} + {instr.end}")
+        self.emit(f"    _i = (_r - _l) // {k} + {self.const(instr.end)}")
         self.emit(f"    if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 4)
         self.emit("    else:")
         self.emit(f"        {self.param('tbl', instr.table)}.out_of_range += 1")
         self.emit(f"    {self.param('picz')}()")
         self.emit(f"    {pr}()")
-        self.emit(f"    regs[{instr.reg}] = {instr.start}")
+        self.emit(f"    regs[{instr.reg}] = {self.const(instr.start)}")
 
     def _fuse_kexit(self, instr, table) -> None:
         # Mirrors ProfilingRuntime.k_exit: layer-indexed end value, no
@@ -964,7 +975,7 @@ class _SegmentWriter:
         self.emit(f"_p = {pr}()")
         self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {instr.k}")
-        self.emit(f"_i = (_r - _l) // {instr.k} + {_literal(instr.values)}[_l]")
+        self.emit(f"_i = (_r - _l) // {instr.k} + {self.const(instr.values)}[_l]")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
@@ -976,7 +987,10 @@ class _SegmentWriter:
         if 0 <= instr.edge < table.capacity:
             addr = table.base + instr.edge * table.slot_words * WORD
             self._bump(
-                self.param("tblc", instr.table), str(instr.edge), self.const(addr), 2
+                self.param("tblc", instr.table),
+                self.const(instr.edge),
+                self.const(addr),
+                2,
             )
         else:
             self.emit(f"{self.param('tbl', instr.table)}.out_of_range += 1")
@@ -1100,9 +1114,10 @@ _CCT_PLAN_OPS = {
 def _fuse_plan(machine, instr) -> Optional[Tuple]:
     """How to fuse ``instr`` into generated source, or None for a closure.
 
-    Array-table commits/accumulates/edge bumps fuse with their geometry
-    as literals; hash tables, per-context tables (``table == -1``) and
-    missing runtimes fall back.  PIC sequences always fuse.  CCT
+    Array-table commits/accumulates/edge bumps fuse with their slot
+    strides as literals; hash tables, per-context tables
+    (``table == -1``) and missing runtimes fall back.  PIC sequences
+    always fuse.  CCT
     enter/call/exit fuse when a runtime is attached (the entry slow
     path still runs in the runtime, through a per-site closure).
     """

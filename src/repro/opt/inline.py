@@ -35,7 +35,6 @@ renumbered site must evict the block's decoded code.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -50,6 +49,7 @@ from repro.ir.instructions import (
     Kind,
     Move,
     Ret,
+    copy_instruction,
 )
 
 #: Kinds a callee may not contain if it is to be inlined.
@@ -185,7 +185,7 @@ def inline_call(
     # Clone and remap the callee's blocks.
     clones: List[Block] = []
     for source in callee.blocks:
-        instrs = [_remap(copy.deepcopy(i), offset) for i in source.instrs]
+        instrs = [_remap(copy_instruction(i), offset) for i in source.instrs]
         lowered: List[Instruction] = []
         for instr in instrs:
             if instr.kind == Kind.BR:

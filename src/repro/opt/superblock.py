@@ -25,12 +25,11 @@ path from one profile (live or measured — both carry ``counts`` and
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ir.function import Block, Function, validate_function
-from repro.ir.instructions import Kind
+from repro.ir.instructions import Kind, copy_instruction
 from repro.pathprof.numbering import ReconstructedPath
 
 
@@ -105,7 +104,9 @@ def form_superblock_from_path(
     clones: Dict[str, Block] = {}
     for position, name in enumerate(trace):
         original = function.block(name)
-        clone = Block(clone_names[position], copy.deepcopy(original.instrs))
+        clone = Block(
+            clone_names[position], [copy_instruction(i) for i in original.instrs]
+        )
         clones[name] = clone
     for position, name in enumerate(trace[:-1]):
         term = clones[name].instrs[-1]

@@ -22,8 +22,9 @@ Each is a one-liner: build a spec with :meth:`PP.spec`, run it with
 :meth:`PP.run`.  Drivers that want the pipeline directly (sharding,
 benchmarks, experiments) use the session layer themselves.
 
-Every run deep-copies the input program before instrumenting, so one
-program object can be profiled under every configuration.
+Every run clones the input program (:meth:`~repro.ir.function.Program.clone`)
+before instrumenting, so one program object can be profiled under
+every configuration.
 """
 
 from __future__ import annotations

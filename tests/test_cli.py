@@ -453,6 +453,56 @@ class TestErrors:
         with pytest.raises(FileNotFoundError):
             main(["run", "/nonexistent/program.pl"])
 
+    @staticmethod
+    def _fails_in_one_line(capsys, argv) -> str:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("verb", ["run", "profile"])
+    def test_syntax_error_is_one_line_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.pl"
+        path.write_text("fn main() { return 1 +; }\n")
+        err = self._fails_in_one_line(capsys, [verb, str(path)])
+        assert err.startswith("error: line 1: unexpected token ';'")
+
+    @pytest.mark.parametrize("verb", ["run", "profile"])
+    def test_asm_error_is_one_line_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.asm"
+        path.write_text(ASM.replace("add r0, r0, 1", "bogus r0"))
+        err = self._fails_in_one_line(capsys, [verb, str(path)])
+        assert err.startswith("error: line ") and "unknown mnemonic 'bogus'" in err
+
+    @pytest.mark.parametrize("verb", ["run", "profile"])
+    def test_invalid_ir_is_one_line_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.asm"
+        path.write_text(ASM.replace("br head\nhead:", "br nowhere\nhead:"))
+        err = self._fails_in_one_line(capsys, [verb, str(path)])
+        assert err.startswith("error: main.entry: branch to unknown block 'nowhere'")
+
+    @pytest.mark.parametrize("verb", ["run", "profile"])
+    def test_machine_fault_is_one_line_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "needs_arg.pl"
+        path.write_text("fn main(n) { return n; }\n")
+        err = self._fails_in_one_line(capsys, [verb, str(path)])
+        assert err.startswith("error: main takes 1 args, got 0")
+
+    def test_exhausted_budget_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        import functools
+
+        from repro.machine import vm
+        from repro.machine.config import MachineConfig
+
+        monkeypatch.setattr(
+            vm, "MachineConfig", functools.partial(MachineConfig, max_instructions=5000)
+        )
+        path = tmp_path / "forever.pl"
+        path.write_text("fn main() { var i = 0; while (1) { i = i + 1; } return i; }\n")
+        err = self._fails_in_one_line(capsys, ["run", str(path)])
+        assert err.startswith("error: instruction budget exceeded (5000)")
+
 
 class TestProfile:
     """The unified ``profile`` verb and its per-mode delegates."""

@@ -1,12 +1,14 @@
 """The fast engine's process-wide compile cache.
 
-Generated segment source binds every block-specific constant (addresses,
-I-cache lines, block and function names, table bases and capacities,
-CCT proc ids) as a maker parameter, so structurally identical blocks
-emit byte-identical source and share one code object through
+Generated segment source binds every block-specific constant (operand
+values such as immediates and path increments, addresses, I-cache
+lines, block and function names, table bases and capacities, CCT proc
+ids) as a maker parameter, so blocks of the same shape emit
+byte-identical source and share one code object through
 :func:`repro.machine.engine._compile_block`.  These tests check that
 sharing happens, that it never crosses a config constant the source
-bakes in, that the cache stays bounded, and that shared code still
+bakes in or merges constants that compare equal but differ (``0.0`` and
+``-0.0``), that the cache stays bounded, and that shared code still
 reports each block under its own names.
 """
 
@@ -15,6 +17,20 @@ import dataclasses
 import pytest
 
 from repro.ir.asm import parse_program
+from repro.ir.function import Block, Function, Program
+from repro.ir.instructions import (
+    Alloc,
+    Binop,
+    Call,
+    Const,
+    FBinop,
+    Imm,
+    KPathAdd,
+    Load,
+    PathAdd,
+    Ret,
+    Store,
+)
 from repro.machine import engine
 from repro.machine.config import MachineConfig
 from repro.machine.vm import Machine
@@ -197,12 +213,18 @@ class TestCacheBound:
     def test_cache_never_exceeds_its_cap(self):
         cap = engine.COMPILE_CACHE_CAP
         assert engine._compile_block.cache_info().maxsize == cap
-        # One distinct immediate per block: every block is its own source.
+        # Immediates are parameters, so each block gets its own shape
+        # instead: a move over a register pair no other block uses.
         n = cap + 44
-        lines = ["func main(0) regs=4 {", "entry:", "    const r0, 0", "    br b0"]
+        lines = ["func main(0) regs=32 {", "entry:", "    const r0, 0", "    br b0"]
         for i in range(n):
             nxt = f"b{i + 1}" if i + 1 < n else "done"
-            lines += [f"b{i}:", f"    add r0, r0, {i}", f"    br {nxt}"]
+            lines += [
+                f"b{i}:",
+                f"    mov r{1 + i % 30}, r{1 + i // 30}",
+                f"    add r0, r0, {i}",
+                f"    br {nxt}",
+            ]
         lines += ["done:", "    ret r0", "}"]
         text = "\n".join(lines)
 
@@ -215,6 +237,134 @@ class TestCacheBound:
         again = Machine(parse_program(text), engine="fast").run()
         assert again.counters == result.counters
         assert engine._compile_block.cache_info().currsize <= cap
+
+
+#: ``f`` and ``g`` differ only in operand values: constants, binop and
+#: fbinop immediates, alloc sizes and load/store offsets.
+IMMEDIATE_TWINS = """
+program entry=main globals=64
+
+func main(1) regs=8 {
+entry:
+    call r1, f(r0)
+    call r2, g(r0)
+    add r3, r1, r2
+    ret r3
+}
+
+func f(1) regs=8 {
+entry:
+    alloc r5, 4
+    const r1, 3
+    const r2, 0.5
+    add r3, r0, 7
+    fmul r2, r2, 1.5
+    store r3, [r5+8]
+    store 11, [r5+16]
+    load r4, [r5+8]
+    load r6, [r5+16]
+    add r4, r4, r6
+    add r4, r4, r1
+    ret r4
+}
+
+func g(1) regs=8 {
+entry:
+    alloc r5, 6
+    const r1, 4
+    const r2, 2.5
+    add r3, r0, 9
+    fmul r2, r2, 0.75
+    store r3, [r5+24]
+    store 13, [r5+32]
+    load r4, [r5+24]
+    load r6, [r5+32]
+    add r4, r4, r6
+    add r4, r4, r1
+    ret r4
+}
+"""
+
+
+def _path_twins() -> Program:
+    """``f`` and ``g`` differ only in their path increments."""
+
+    def function(name, instrs):
+        return Function(name, num_regs=4, blocks=[Block("entry", instrs)])
+
+    def body(name, add, values):
+        return function(
+            name, [Const(1, 0), PathAdd(1, add), KPathAdd(1, 2, values), Ret(1)]
+        )
+
+    main = function(
+        "main", [Call("f", [], 1), Call("g", [], 2), Binop("add", 3, 1, 2), Ret(3)]
+    )
+    return Program(
+        {"main": main, "f": body("f", 3, (4, 6)), "g": body("g", 5, (8, 10))}
+    )
+
+
+class TestOperandValuesAreParameters:
+    def _assert_twins_share_code(self, program):
+        (f_block,) = program.functions["f"].blocks
+        (g_block,) = program.functions["g"].blocks
+        assert _source(f_block) == _source(g_block)
+        assert _code(f_block) is _code(g_block)
+
+    def test_blocks_differing_only_in_immediates_compile_once(self):
+        program = parse_program(IMMEDIATE_TWINS)
+        fast = Machine(program, engine="fast").run(ARG)
+        simple = Machine(parse_program(IMMEDIATE_TWINS), engine="simple").run(ARG)
+        assert fast.counters == simple.counters
+        assert fast.return_value == simple.return_value == (ARG + 7 + 11 + 3) + (
+            ARG + 9 + 13 + 4
+        )
+        self._assert_twins_share_code(program)
+
+    def test_blocks_differing_only_in_path_increments_compile_once(self):
+        program = _path_twins()
+        fast = Machine(program, engine="fast").run()
+        simple = Machine(_path_twins(), engine="simple").run()
+        assert fast.counters == simple.counters
+        # f: 0 + 3, layer 3 % 2 = 1 adds 6; g: 0 + 5, layer 1 adds 10.
+        assert fast.return_value == simple.return_value == (3 + 6) + (5 + 10)
+        self._assert_twins_share_code(program)
+
+
+#: Floats that compare equal but differ (the zeros), or that have no
+#: plain literal (the non-finite ones).
+ODD_FLOATS = (0.0, -0.0, float("inf"), float("-inf"), float("nan"))
+
+
+def _odd_float_program(returned: int) -> Program:
+    """One block puts every odd float in registers through each operand
+    path (``const``, an ``fmul`` immediate, a stored immediate read
+    back), then returns register ``returned``."""
+    n = len(ODD_FLOATS)
+    instrs = [Const(1, 1.0), Alloc(2, Imm(n))]
+    for j, value in enumerate(ODD_FLOATS):
+        instrs.append(Const(3 + j, value))
+        instrs.append(FBinop("fmul", 3 + n + j, 1, Imm(value)))
+        instrs.append(Store(Imm(value), 2, 8 * j))
+    for j in range(n):
+        instrs.append(Load(3 + 2 * n + j, 2, 8 * j))
+    instrs.append(Ret(returned))
+    main = Function("main", num_regs=3 + 3 * n, blocks=[Block("entry", instrs)])
+    return Program({"main": main})
+
+
+class TestOddFloatConstants:
+    @pytest.mark.parametrize("returned", range(3, 3 + 3 * len(ODD_FLOATS)))
+    def test_fast_returns_the_exact_value_simple_does(self, returned):
+        expected = ODD_FLOATS[(returned - 3) % len(ODD_FLOATS)]
+        results = {
+            name: Machine(_odd_float_program(returned), engine=name).run()
+            for name in ("simple", "fast")
+        }
+        assert results["fast"].counters == results["simple"].counters
+        for result in results.values():
+            assert repr(result.return_value) == repr(expected)
 
 
 class _BlockRecorder:
