@@ -106,16 +106,20 @@ def _make_session(args):
 
         log = RunLog(args.log, command=args.command)
     config = None
-    if getattr(args, "icache_size", None) or getattr(args, "icache_assoc", None):
+    icache_size = getattr(args, "icache_size", None)
+    icache_assoc = getattr(args, "icache_assoc", None)
+    if icache_size is not None or icache_assoc is not None:
         from dataclasses import replace as _replace
 
         from repro.machine.config import MachineConfig
 
         config = MachineConfig()
-        if args.icache_size:
-            config = _replace(config, icache_size=args.icache_size)
-        if args.icache_assoc:
-            config = _replace(config, icache_assoc=args.icache_assoc)
+        if icache_size is not None:
+            config = _replace(config, icache_size=icache_size)
+        if icache_assoc is not None:
+            config = _replace(config, icache_assoc=icache_assoc)
+        # Rejected here, before any run, as one error line from main.
+        config.validate()
     return ProfileSession(config=config, log=log)
 
 
@@ -1142,6 +1146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.ir.asm import AsmError
     from repro.ir.function import IRValidationError
     from repro.lang import LangError
+    from repro.machine.config import MachineConfigError
     from repro.machine.vm import MachineError
     from repro.session import ProfileSpecError
     from repro.tools.shard_runner import ShardCheckpointError, ShardRunError
@@ -1155,15 +1160,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         CCTLoadError,
         IRValidationError,
         LangError,
+        MachineConfigError,
         MachineError,
         ProfileSpecError,
         ShardCheckpointError,
         ShardRunError,
     ) as exc:
-        # Malformed programs, simulated faults (bad calls, exhausted
-        # budgets), corrupt dumps, malformed specs, and exhausted shard
-        # retries are expected operational conditions: one line naming
-        # the offence, not a traceback.
+        # Malformed programs, unsimulatable machine configs, simulated
+        # faults (bad calls, exhausted budgets), corrupt dumps,
+        # malformed specs, and exhausted shard retries are expected
+        # operational conditions: one line naming the offence, not a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ block-static cost sums and I-cache probe points hoisted out of the hot
 loop.  The two are bit-identical in every counter; see docs/API.md.
 """
 
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, MachineConfigError
 from repro.machine.counters import Event, CounterBank, PicRegisters
 from repro.machine.caches import DirectMappedCache, SetAssociativeCache
 from repro.machine.branch import TwoBitPredictor
@@ -31,6 +31,7 @@ __all__ = [
     "Event",
     "Machine",
     "MachineConfig",
+    "MachineConfigError",
     "MachineError",
     "MemoryMap",
     "PicRegisters",

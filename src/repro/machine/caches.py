@@ -1,8 +1,15 @@
 """Cache simulators: direct-mapped (L1 D) and set-associative (L1 I).
 
-Both expose ``access(address) -> hit`` plus statistics.  The
-direct-mapped variant is specialized (one tag per set, no LRU state)
-because the interpreter calls it on every load and store.
+Both expose ``access(address) -> hit`` and count their own ``misses``.
+The direct-mapped variant is specialized (one tag per set, no LRU
+state) because the interpreter calls it on every load and store.
+
+The fast engine's generated code tests hits inline against
+:attr:`DirectMappedCache.tags` and the most recent line of each
+:attr:`SetAssociativeCache.ways` set, and calls :meth:`access` only
+when that test fails, so neither class counts its accesses (for the
+L1 D-cache they are the ``DC_READ + DC_WRITE`` counters).  Generated
+code binds those lists by identity: they are never rebound.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import List
 class DirectMappedCache:
     """One tag per set; a 16KB/32B instance has 512 sets (paper §6.4.1)."""
 
-    __slots__ = ("line", "sets", "_line_bits", "_set_mask", "tags", "accesses", "misses")
+    __slots__ = ("line", "sets", "_line_bits", "_set_mask", "tags", "misses")
 
     def __init__(self, size: int, line: int):
         if size % line:
@@ -25,14 +32,12 @@ class DirectMappedCache:
         self._line_bits = line.bit_length() - 1
         self._set_mask = self.sets - 1
         self.tags: List[int] = [-1] * self.sets
-        self.accesses = 0
         self.misses = 0
 
     def access(self, address: int, allocate: bool = True) -> bool:
         """Probe the cache; fill on miss when ``allocate``.  Returns hit?"""
         block = address >> self._line_bits
         index = block & self._set_mask
-        self.accesses += 1
         if self.tags[index] == block:
             return True
         self.misses += 1
@@ -48,14 +53,11 @@ class DirectMappedCache:
         """Which set an address maps to (used by conflict diagnostics)."""
         return (address >> self._line_bits) & self._set_mask
 
-    def flush(self) -> None:
-        self.tags = [-1] * self.sets
-
 
 class SetAssociativeCache:
     """N-way with true LRU per set; used for the instruction cache."""
 
-    __slots__ = ("line", "assoc", "sets", "_line_bits", "_set_mask", "ways", "accesses", "misses")
+    __slots__ = ("line", "assoc", "sets", "_line_bits", "_set_mask", "ways", "misses")
 
     def __init__(self, size: int, line: int, assoc: int):
         if size % (line * assoc):
@@ -69,14 +71,12 @@ class SetAssociativeCache:
         self._set_mask = self.sets - 1
         # ways[set] is an LRU-ordered list, most recent last.
         self.ways: List[List[int]] = [[] for _ in range(self.sets)]
-        self.accesses = 0
         self.misses = 0
 
     def access(self, address: int, allocate: bool = True) -> bool:
         block = address >> self._line_bits
         index = block & self._set_mask
         way = self.ways[index]
-        self.accesses += 1
         # Fast path: re-touching the most recent line leaves LRU order
         # unchanged, and a membership scan beats catching ValueError on
         # the (frequent) miss path.
@@ -98,5 +98,6 @@ class SetAssociativeCache:
         block = address >> self._line_bits
         return block in self.ways[block & self._set_mask]
 
-    def flush(self) -> None:
-        self.ways = [[] for _ in range(self.sets)]
+    def set_index(self, address: int) -> int:
+        """Which set an address maps to."""
+        return (address >> self._line_bits) & self._set_mask

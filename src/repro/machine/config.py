@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
+class MachineConfigError(ValueError):
+    """A machine configuration the cost models cannot simulate."""
+
+
 @dataclass
 class MachineConfig:
     # --- L1 data cache (paper: 16KB, direct mapped, on chip) ---
@@ -66,11 +70,44 @@ class MachineConfig:
     max_instructions: int = 500_000_000
 
     def validate(self) -> None:
-        if self.dcache_size % (self.dcache_line * self.dcache_assoc):
-            raise ValueError("dcache size must be a multiple of line*assoc")
-        if self.l2_enabled and self.l2_size % (self.l2_line * self.l2_assoc):
-            raise ValueError("l2 size must be a multiple of line*assoc")
-        if self.icache_size % (self.icache_line * self.icache_assoc):
-            raise ValueError("icache size must be a multiple of line*assoc")
-        if self.predictor_entries & (self.predictor_entries - 1):
-            raise ValueError("predictor_entries must be a power of two")
+        """Raise :class:`MachineConfigError` for a geometry the models
+        cannot build or a store buffer or predictor that would fault
+        mid-run."""
+        _check_cache("dcache", self.dcache_size, self.dcache_line, self.dcache_assoc)
+        if self.l2_enabled:
+            _check_cache("l2", self.l2_size, self.l2_line, self.l2_assoc)
+        _check_cache("icache", self.icache_size, self.icache_line, self.icache_assoc)
+        if not _power_of_two(self.predictor_entries):
+            raise MachineConfigError(
+                f"predictor_entries must be a power of two, not {self.predictor_entries}"
+            )
+        if self.store_buffer_depth < 1:
+            raise MachineConfigError(
+                f"store_buffer_depth must be at least 1, not {self.store_buffer_depth}"
+            )
+        if self.store_drain_cycles < 0:
+            raise MachineConfigError(
+                f"store_drain_cycles must not be negative, not {self.store_drain_cycles}"
+            )
+
+
+def _power_of_two(n: int) -> bool:
+    return n >= 1 and not n & (n - 1)
+
+
+def _check_cache(name: str, size: int, line: int, assoc: int) -> None:
+    """The cache constructors' geometry rules, checked up front."""
+    if not _power_of_two(line):
+        raise MachineConfigError(f"{name} line size must be a power of two, not {line}")
+    if assoc < 1:
+        raise MachineConfigError(f"{name} associativity must be at least 1, not {assoc}")
+    if size < 1 or size % (line * assoc):
+        raise MachineConfigError(
+            f"{name} size {size} must be a multiple of line*assoc ({line}*{assoc})"
+        )
+    sets = size // (line * assoc)
+    if not _power_of_two(sets):
+        raise MachineConfigError(
+            f"{name} set count must be a power of two, not {sets} "
+            f"({size} bytes of {line}-byte lines, {assoc}-way)"
+        )

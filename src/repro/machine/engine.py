@@ -15,14 +15,15 @@ machine:
   stores, conditional and unconditional branches, alloc and the
   path-register pseudo-ops) are compiled to one specialized Python
   function — generated source with register numbers, counter indices,
-  cost sums, penalties and table strides inlined as literals,
-  ``exec``-ed once at decode time.  Those literals are the block's
-  *shape*; every other value is bound as a maker parameter through
-  :meth:`_SegmentWriter.const`: what the block computes with
-  (immediates, constants, load/store offsets, path increments, commit
-  ends and restarts, k-iteration value tuples, edge indices, CCT call
-  slots) and where it sits (addresses, I-cache lines, block and function
-  names, table bases and capacities, CCT proc ids);
+  cost sums, penalties, D-cache and store-buffer geometry and table
+  strides inlined as literals, ``exec``-ed once at decode time.  Those
+  literals are the block's *shape*; every other value is bound as a
+  maker parameter through :meth:`_SegmentWriter.const`: what the block
+  computes with (immediates, constants, load/store offsets, path
+  increments, commit ends and restarts, k-iteration value tuples, edge
+  indices, CCT call slots) and where it sits (addresses, I-cache lines
+  and sets, predictor slots, block and function names, table bases and
+  capacities, CCT proc ids);
 * the instrumentation hooks spliced by :mod:`repro.instrument` are
   **fused** into the generated source wherever their behaviour is
   static: array-table ``bump``/``accumulate`` fast paths with slot
@@ -42,7 +43,26 @@ machine:
   ``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL`` increments are batched
   into partial sums flushed before the next counter *observer*, and the
   per-instruction ``address >> line_bits`` check is replaced by probes
-  at precomputed I-cache line-crossing addresses.
+  at precomputed I-cache line-crossing addresses;
+* the cost models' common case is generated code too, for program and
+  fused probe traffic alike.  A direct-mapped D-cache access is the tag
+  test ``_dt[_b & mask] != _b`` on the bound ``tags`` list, with the
+  line bits and set mask as literals; only a miss calls the machine
+  (``Machine._dc_read_miss``/``_dc_write_miss``: events, L2 or memory
+  penalty, region attribution, fill per the write-allocate policy).
+  A conditional branch steps its two-bit counter on the bound
+  predictor ``table`` at a bound slot.  An I-cache line crossing
+  compares the line with the most recent line of its set (bound set
+  index) and calls ``access`` only when they differ, since a hit on
+  that line changes no LRU state.  A store-buffer push is the closed
+  form of :meth:`Machine._store_buffer_push` on the shared one-integer
+  ``_sb`` cell: stores drain back to back, so the pending ones always
+  form a run of step ``store_drain_cycles`` ending at the newest
+  completion time, and a push stalls by ``last - now -
+  (depth-1)*drain`` when that is positive.  Any model of another class
+  — a set-associative D-cache, an ablation stub — is reached through
+  its methods instead (the call form); the model classes select the
+  form at decode time and are part of the block cache key.
 
 Equivalence argument: inside a batched run no operation reads a
 counter, so only the *order* of commutative additions into the counter
@@ -72,10 +92,15 @@ splice; ``id(block.instrs)`` is unsafe — a GC'd list's id can be
 reused) plus ``len(block.instrs)``, so :mod:`repro.edit` splices
 invalidate stale entries automatically; call
 :meth:`Machine.invalidate_decoded` after any other program surgery.
-The generated source cached on the block additionally keys on a
-*probe fingerprint* — the table geometry and CCT flags baked into
-fused probes — so machines with differently-shaped runtimes never
-share compiled code.
+The generated source cached on the block additionally keys on the
+config constants it bakes in (:func:`_config_key`), on the cost-model
+classes and geometry (:func:`_model_key`) and on a *probe fingerprint*
+— the table geometry and CCT flags baked into fused probes — so
+machines with differently-shaped models or runtimes never share
+compiled code.  ``Program.clone()`` carries that cache, which is why
+the model classes are in the key: an ablation stub set on a machine
+before its first decode must not reuse tag-test code, nor leave its
+call-form code to a default machine.
 
 Code objects come from :func:`_compile_block`, a process-wide LRU
 cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text.
@@ -104,6 +129,8 @@ from repro.ir.instructions import (
     _int_div,
     _int_mod,
 )
+from repro.machine.branch import TwoBitPredictor
+from repro.machine.caches import DirectMappedCache, SetAssociativeCache
 from repro.machine.counters import Event
 from repro.machine.memory import WORD
 
@@ -119,6 +146,7 @@ _IC_MISS = int(Event.IC_MISS)
 _BRANCHES = int(Event.BRANCHES)
 _BR_TAKEN = int(Event.BR_TAKEN)
 _BR_MISPRED = int(Event.BR_MISPRED)
+_SB_STALL = int(Event.SB_STALL)
 _FP_STALL = int(Event.FP_STALL)
 _LOADS = int(Event.LOADS)
 _STORES = int(Event.STORES)
@@ -567,6 +595,16 @@ class _SegmentWriter:
     are emitted in instruction order at line-crossing addresses only;
     fused probes keep the static line tracking alive, only closure
     handlers reset it.
+
+    Each cost model's hit path is emitted inline when the machine's
+    model is of the default class: the direct-mapped D-cache tag test
+    (miss: one ``_drm``/``_dwm`` machine call), the I-cache
+    most-recent-line test (otherwise: ``_ica``), the two-bit predictor
+    step, and the store-buffer push, which never calls.  A model of any
+    other class gets the call form (``_dca``, ``_ica``, ``_prd``), so
+    only the default models' state lists are bound by identity.
+    Values derived from an address — I-cache sets, predictor slots —
+    are bound under their own :meth:`const` role.
     """
 
     def __init__(self, machine, fname: str, alloc_link: Callable[[], int]):
@@ -590,6 +628,7 @@ class _SegmentWriter:
         self.penalty = machine.config.icache_miss_penalty
         self.write_allocate = machine.config.dcache_write_allocate
         self.fp_latencies = machine.config.fp_latencies
+        self.dcache, self.icache, self.predictor = _inline_models(machine)
         # pending cost sums
         self.n = 0
         self.icost = 0
@@ -619,7 +658,7 @@ class _SegmentWriter:
             self._bind(("pb", spec), name)
         return name
 
-    def const(self, value) -> str:
+    def const(self, value, role: str = "") -> str:
         """Source expression for a block-specific constant.
 
         Operand values (immediates, constants, offsets, path values,
@@ -628,9 +667,12 @@ class _SegmentWriter:
         CCT proc ids) become maker parameters, named in first-use
         order and deduplicated by :func:`_const_key`, so blocks that
         differ only in those values emit byte-identical source and
-        share one code object.
+        share one code object.  A ``role`` keeps values derived from an
+        address (I-cache sets, predictor slots) apart from the rest:
+        whether such a value happens to equal an operand depends on
+        where the block sits, so merging them would split twin blocks.
         """
-        key = _const_key(value)
+        key = (role, *_const_key(value))
         name = self._consts.get(key)
         if name is None:
             name = f"_c{len(self._consts)}"
@@ -648,17 +690,25 @@ class _SegmentWriter:
             # Dynamic head check: the previous dynamic instruction ran
             # in another segment (or another block entirely).
             self.emit(f"if {self.const(iline)} != _il[0]:")
-            self.emit(f"    if not _ica({self.const(addr)}):")
-            self.emit(f"        counts[{_IC_MISS}] += 1")
-            self.emit(f"        counts[{_CYCLES}] += {self.penalty}")
+            self._icache_probe(addr, iline, 3)
         elif iline != self.prev_iline:
-            self.emit(f"if not _ica({self.const(addr)}):")
-            self.emit(f"    counts[{_IC_MISS}] += 1")
-            self.emit(f"    counts[{_CYCLES}] += {self.penalty}")
+            self._icache_probe(addr, iline, 2)
         self.prev_iline = iline
         self.cell_stale = True
         self.n += 1
         self.icost += icost
+
+    def _icache_probe(self, addr: int, iline: int, indent: int) -> None:
+        """Fetch from a new I-cache line: a hit on the line its set used
+        last changes no LRU state, so only other lines call ``access``."""
+        if self.icache is not None:
+            iset = self.const(self.icache.set_index(addr), "set")
+            self.emit(f"_w = _iw[{iset}]", indent)
+            self.emit(f"if not _w or _w[-1] != {self.const(iline)}:", indent)
+            indent += 1
+        self.emit(f"if not _ica({self.const(addr)}):", indent)
+        self.emit(f"    counts[{_IC_MISS}] += 1", indent)
+        self.emit(f"    counts[{_CYCLES}] += {self.penalty}", indent)
 
     def flush_costs(self) -> None:
         if self.n:
@@ -718,11 +768,7 @@ class _SegmentWriter:
             else:
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
             self.loads += 1
-            self.emit("if not _dca(_a):")
-            self.emit(f"    counts[{_DC_READ_MISS}] += 1")
-            self.emit(f"    counts[{_DC_MISS}] += 1")
-            self.emit(f"    counts[{_CYCLES}] += _rmc(_a)")
-            self.emit("    _nms(_a)")
+            self._dcache_read("_a", 2)
             self.emit(f"regs[{instr.dst}] = _mrd(_a, 0)")
         elif kind == Kind.STORE or kind == Kind.FRAME_STORE:
             # The store-buffer push reads CYCLES: flush pending costs
@@ -739,12 +785,8 @@ class _SegmentWriter:
                 self.stores += 1
                 self.flush_costs()
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
-            probe = "_dca(_a)" if self.write_allocate else "_dca(_a, False)"
-            self.emit(f"if not {probe}:")
-            self.emit(f"    counts[{_DC_WRITE_MISS}] += 1")
-            self.emit(f"    counts[{_DC_MISS}] += 1")
-            self.emit("    _nms(_a)")
-            self.emit("_sbp()")
+            self._dcache_write("_a", 2)
+            self._store_buffer_push(2)
             self.emit(f"_mwr(_a, {value})")
         elif kind == Kind.ALLOC:
             self.emit(f"regs[{instr.dst}] = _halloc({self._operand(instr.size)})")
@@ -764,21 +806,88 @@ class _SegmentWriter:
         elif kind == Kind.CBR:
             self.flush_costs()
             self.sync_cell()
-            mp = self.config.mispredict_penalty
             self.emit(f"counts[{_BRANCHES}] += 1")
+            if self.predictor is not None:
+                self.emit(f"_ps = _pt[{self.const(self.predictor.slot(addr), 'slot')}]")
             self.emit(f"if regs[{instr.cond}] != 0:")
             self.emit(f"    counts[{_BR_TAKEN}] += 1")
-            self.emit(f"    if not _prd({self.const(addr)}, True):")
-            self.emit(f"        counts[{_BR_MISPRED}] += 1")
-            self.emit(f"        counts[{_CYCLES}] += {mp}")
+            self._predict(addr, True)
             self._transfer(instr.then, indent=3)
             self.emit("else:")
-            self.emit(f"    if not _prd({self.const(addr)}, False):")
-            self.emit(f"        counts[{_BR_MISPRED}] += 1")
-            self.emit(f"        counts[{_CYCLES}] += {mp}")
+            self._predict(addr, False)
             self._transfer(instr.els, indent=3)
         else:  # pragma: no cover - guarded by _INLINE_KINDS
             raise AssertionError(f"{kind!r} is not an inline kind")
+
+    def _predict(self, addr: int, taken: bool) -> None:
+        """The predictor update of one branch arm, a mispredict charged.
+
+        Inline it is the two-bit counter step on the state ``_ps`` read
+        before the arms split: taken counts up from below 3 and was
+        mispredicted below 2, not-taken counts down from above 0 and
+        was mispredicted above 1.
+        """
+        mispredict = (
+            f"counts[{_BR_MISPRED}] += 1",
+            f"counts[{_CYCLES}] += {self.config.mispredict_penalty}",
+        )
+        if self.predictor is None:
+            self.emit(f"if not _prd({self.const(addr)}, {taken}):", 3)
+            for line in mispredict:
+                self.emit(f"    {line}", 3)
+            return
+        slot = self.const(self.predictor.slot(addr), "slot")
+        if taken:
+            self.emit("if _ps < 3:", 3)
+            self.emit(f"    _pt[{slot}] = _ps + 1", 3)
+            self.emit("    if _ps < 2:", 3)
+        else:
+            self.emit("if _ps > 0:", 3)
+            self.emit(f"    _pt[{slot}] = _ps - 1", 3)
+            self.emit("    if _ps > 1:", 3)
+        for line in mispredict:
+            self.emit(f"        {line}", 3)
+
+    # -- cost-model hit paths ---------------------------------------------------
+
+    def _dcache_tag(self, addr: str, indent: int) -> None:
+        """Open the direct-mapped tag test: its body is the miss path."""
+        self.emit(f"_b = {addr} >> {self.dcache._line_bits}", indent)
+        self.emit(f"if _dt[_b & {self.dcache._set_mask}] != _b:", indent)
+
+    def _dcache_read(self, addr: str, indent: int) -> None:
+        """D-cache side of a read: miss count, penalty, attribution."""
+        if self.dcache is not None:
+            self._dcache_tag(addr, indent)
+            self.emit(f"    _drm({addr})", indent)
+            return
+        self.emit(f"if not _dca({addr}):", indent)
+        self.emit(f"    counts[{_DC_READ_MISS}] += 1", indent)
+        self.emit(f"    counts[{_DC_MISS}] += 1", indent)
+        self.emit(f"    counts[{_CYCLES}] += _rmc({addr})", indent)
+        self.emit(f"    _nms({addr})", indent)
+
+    def _dcache_write(self, addr: str, indent: int) -> None:
+        """D-cache side of a write (allocation per the config)."""
+        if self.dcache is not None:
+            self._dcache_tag(addr, indent)
+            self.emit(f"    _dwm({addr})", indent)
+            return
+        miss = f"_dca({addr})" if self.write_allocate else f"_dca({addr}, False)"
+        self.emit(f"if not {miss}:", indent)
+        self.emit(f"    counts[{_DC_WRITE_MISS}] += 1", indent)
+        self.emit(f"    counts[{_DC_MISS}] += 1", indent)
+        self.emit(f"    _nms({addr})", indent)
+
+    def _store_buffer_push(self, indent: int) -> None:
+        """``Machine._store_buffer_push`` on the shared ``_sb`` cell."""
+        drain = self.config.store_drain_cycles
+        full = (self.config.store_buffer_depth - 1) * drain
+        self.emit(f"_d = _sb[0] - counts[{_CYCLES}]", indent)
+        self.emit(f"if _d > {full}:", indent)
+        self.emit(f"    counts[{_CYCLES}] += _d - {full}", indent)
+        self.emit(f"    counts[{_SB_STALL}] += _d - {full}", indent)
+        self.emit(f"_sb[0] = (_sb[0] if _d > 0 else counts[{_CYCLES}]) + {drain}", indent)
 
     def _transfer(self, target: str, indent: int) -> None:
         # Branch targets stay within the function, so the successor's
@@ -805,22 +914,14 @@ class _SegmentWriter:
         """
         self.emit(f"counts[{_LOADS}] += 1", indent)
         self.emit(f"counts[{_DC_READ}] += 1", indent)
-        self.emit(f"if not _dca({addr}):", indent)
-        self.emit(f"    counts[{_DC_READ_MISS}] += 1", indent)
-        self.emit(f"    counts[{_DC_MISS}] += 1", indent)
-        self.emit(f"    counts[{_CYCLES}] += _rmc({addr})", indent)
-        self.emit(f"    _nms({addr})", indent)
+        self._dcache_read(addr, indent)
 
     def probe_write(self, addr: str, value: str, indent: int = 2) -> None:
         """``Machine.probe_write`` traffic: miss probe, drain, store."""
-        miss = f"_dca({addr})" if self.write_allocate else f"_dca({addr}, False)"
         self.emit(f"counts[{_STORES}] += 1", indent)
         self.emit(f"counts[{_DC_WRITE}] += 1", indent)
-        self.emit(f"if not {miss}:", indent)
-        self.emit(f"    counts[{_DC_WRITE_MISS}] += 1", indent)
-        self.emit(f"    counts[{_DC_MISS}] += 1", indent)
-        self.emit(f"    _nms({addr})", indent)
-        self.emit("_sbp()", indent)
+        self._dcache_write(addr, indent)
+        self._store_buffer_push(indent)
         self.emit(f"_mwr({addr}, {value})", indent)
 
     def fuse(self, plan: Tuple, instr, index: int, addr: int, iline: int) -> None:
@@ -1151,9 +1252,68 @@ def _config_key(config) -> Tuple:
         config.icache_line,
         config.icache_miss_penalty,
         config.mispredict_penalty,
-        config.dcache_write_allocate,
         config.frame_words,
+        config.store_buffer_depth,
+        config.store_drain_cycles,
         tuple(sorted(config.fp_latencies.items())),
+    )
+
+
+def _inline_models(machine) -> Tuple:
+    """``(dcache, icache, predictor)``: each of the machine's models
+    whose hit path generated code inlines, ``None`` for a model of any
+    other class (a set-associative D-cache, an ablation stub), which
+    generated code reaches through the call form."""
+    dcache, icache, predictor = machine.dcache, machine.icache, machine.predictor
+    return (
+        dcache if dcache.__class__ is DirectMappedCache else None,
+        icache if icache.__class__ is SetAssociativeCache else None,
+        predictor if predictor.__class__ is TwoBitPredictor else None,
+    )
+
+
+def _model_key(machine) -> Tuple:
+    """Fingerprint of how generated code reaches the cost models.
+
+    Part of the block cache key, next to :func:`_config_key`: the model
+    classes select inline or call forms, the inline forms bake in the
+    D-cache's line bits and set mask and bind I-cache sets and
+    predictor slots, and the D-cache call form bakes in the
+    write-allocate flag.
+    """
+    dcache, icache, predictor = _inline_models(machine)
+    return (
+        machine.dcache.__class__,
+        machine.icache.__class__,
+        machine.predictor.__class__,
+        (dcache._line_bits, dcache._set_mask)
+        if dcache is not None
+        else machine.config.dcache_write_allocate,
+        None if icache is None else (icache._line_bits, icache._set_mask),
+        None if predictor is None else predictor._mask,
+    )
+
+
+#: Maker parameters that reach the cost models, in binding order.
+_MODEL_PARAMS = "_iw, _ica, _dt, _dca, _drm, _dwm, _rmc, _nms, _pt, _prd, _sb"
+
+
+def _model_bindings(machine) -> Tuple:
+    """The :data:`_MODEL_PARAMS` objects of ``machine``; a model in the
+    call form binds ``None`` for the state its inline form reads."""
+    dcache, icache, predictor = _inline_models(machine)
+    return (
+        None if icache is None else icache.ways,
+        machine.icache.access,
+        None if dcache is None else dcache.tags,
+        machine.dcache.access,
+        machine._dc_read_miss,
+        machine._dc_write_miss,
+        machine._read_miss_cycles,
+        machine._note_miss,
+        None if predictor is None else predictor.table,
+        machine.predictor.predict_and_update,
+        machine._store_drained,
     )
 
 
@@ -1189,11 +1349,12 @@ def _probe_key(machine, instrs) -> Tuple:
 def _generate_block(machine, fname: str, instrs, addrs):
     """Produce ``(source, starts, seg_extras, n_links)`` for one block.
 
-    Pure in everything but ``instrs``/``addrs`` and the few config
-    constants of :func:`_config_key`, so the result is cached on the
-    block and shared by every machine simulating the same program.
-    Block-specific constants are maker parameters (``seg_extras``), so
-    ``source`` depends only on the block's shape and the config.
+    Pure in everything but ``instrs``/``addrs``, the few config
+    constants of :func:`_config_key` and the model forms of
+    :func:`_model_key`, so the result is cached on the block and shared
+    by every machine simulating the same program.  Block-specific
+    constants are maker parameters (``seg_extras``), so ``source``
+    depends only on the block's shape, the config and the model forms.
     """
     line_bits = machine._icache_line_bits
 
@@ -1266,7 +1427,7 @@ def _generate_block(machine, fname: str, instrs, addrs):
     for j, (start, seg_writer) in enumerate(segments):
         params = "".join(f", {name}" for name in seg_writer.names)
         src_parts.append(
-            f"def _make{j}(machine, counts, _il, _ica, _dca, _mrd, _mwr, _sbp, _nms, _rmc, _prd, _rs{params}):"
+            f"def _make{j}(machine, counts, _il, {_MODEL_PARAMS}, _mrd, _mwr, _rs{params}):"
         )
         src_parts.append("    def _seg(frame):")
         src_parts.append("        regs = frame.regs")
@@ -1343,10 +1504,11 @@ def decode_block(machine, function, block) -> DecodedBlock:
 
     The generated source and code object are cached on the block (they
     depend only on the instruction list, the block's base address,
-    :func:`_config_key` constants, and the :func:`_probe_key`
-    fingerprint of the attached runtimes); only the per-machine binding
-    — the ``exec`` of segment makers plus the closure handlers and
-    fused-probe objects — runs again for each machine.
+    :func:`_config_key` constants, the :func:`_model_key` forms, and the
+    :func:`_probe_key` fingerprint of the attached runtimes); only the
+    per-machine binding — the ``exec`` of segment makers plus the
+    closure handlers and fused-probe objects — runs again for each
+    machine.
     """
     fname = function.name
     instrs = block.instrs
@@ -1358,6 +1520,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
         len(instrs),
         addrs[0] if addrs else 0,
         _config_key(machine.config),
+        _model_key(machine),
         _probe_key(machine, instrs),
     )
     stats = machine.codegen_stats
@@ -1403,6 +1566,10 @@ def decode_block(machine, function, block) -> DecodedBlock:
 
     namespace = machine._codegen_namespace()
     exec(code, namespace)
+    models = _model_bindings(machine)
+    iline_cell = machine._iline
+    mem_read = machine.memory._store.get
+    mem_write = machine.memory._store.__setitem__
 
     resume: Dict[int, int] = {}
     steps: List[Callable] = []
@@ -1423,15 +1590,10 @@ def decode_block(machine, function, block) -> DecodedBlock:
             maker(
                 machine,
                 counts,
-                machine._iline,
-                machine.icache.access,
-                machine.dcache.access,
-                machine.memory._store.get,
-                machine.memory._store.__setitem__,
-                machine._store_buffer_push,
-                machine._note_miss,
-                machine._read_miss_cycles,
-                machine.predictor.predict_and_update,
+                iline_cell,
+                *models,
+                mem_read,
+                mem_write,
                 resolve_link,
                 *extras,
             )

@@ -12,6 +12,7 @@ worries about.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Union
 
@@ -45,10 +46,14 @@ class MemoryMap:
         self.cct = Region("cct", 0x2000_0000, 0x1000_0000)
         self._store: Dict[int, Union[int, float]] = {}
         self._heap_next = self.heap.base
-        #: (base, limit, name) triples for the hot region_of scan.
-        self._region_bounds = [
-            (r.base, r.limit, r.name)
-            for r in (self.globals, self.heap, self.stack, self.profiling, self.cct)
+        # region_of bisects the sorted region boundaries: the span from
+        # each boundary to the next belongs to the first region (in
+        # this order) that contains the boundary.
+        regions = (self.globals, self.heap, self.stack, self.profiling, self.cct)
+        self._region_edges = sorted({r.base for r in regions} | {r.limit for r in regions})
+        self._region_names = ["unmapped"] + [
+            next((r.name for r in regions if r.contains(edge)), "unmapped")
+            for edge in self._region_edges
         ]
 
     # -- data ------------------------------------------------------------------
@@ -86,7 +91,4 @@ class MemoryMap:
         return self.globals.base + word_index * WORD
 
     def region_of(self, address: int) -> str:
-        for base, limit, name in self._region_bounds:
-            if base <= address < limit:
-                return name
-        return "unmapped"
+        return self._region_names[bisect_right(self._region_edges, address)]

@@ -11,7 +11,8 @@ Cost model (deliberately simple and deterministic):
 * every instruction costs ``icost`` base cycles and instructions;
 * a load that misses L1 D adds ``dcache_read_miss_penalty`` cycles;
 * a store enters the store buffer, which drains one store per
-  ``store_drain_cycles``; a full buffer stalls the pipeline;
+  ``store_drain_cycles``; a full buffer stalls the pipeline (see
+  :meth:`Machine._store_buffer_push` for why one integer is its state);
 * a conditional branch consults the 2-bit predictor; a mispredict adds
   ``mispredict_penalty`` cycles;
 * an FP operation adds its latency minus one as FP stall cycles;
@@ -21,7 +22,7 @@ Cost model (deliberately simple and deterministic):
 from __future__ import annotations
 
 import os
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.function import Function, Program
@@ -145,7 +146,9 @@ class Machine:
             else None
         )
         self.predictor = TwoBitPredictor(cfg.predictor_entries)
-        self._store_buffer: deque = deque()
+        #: Cycle at which the store buffer's newest store drains, in a
+        #: one-slot list shared with generated code like ``_iline``.
+        self._store_drained: List[int] = [0]
         self._icache_line_bits = cfg.icache_line.bit_length() - 1
         #: Last fetched I-cache line, in a one-slot list so decoded
         #: closures and generated code can share the state cheaply.
@@ -246,21 +249,50 @@ class Machine:
         self._store_buffer_push()
         self.memory.write(address, value)
 
-    def _store_buffer_push(self) -> None:
+    def _dc_read_miss(self, address: int) -> None:
+        """A read whose inline direct-mapped tag test failed (the fast
+        engine's miss path): fill the line and count the miss, its
+        L2 or memory penalty and its region."""
+        self.dcache.access(address)
         counts = self.counters.counts
-        now = counts[_CYCLES]
-        buffer = self._store_buffer
-        while buffer and buffer[0] <= now:
-            buffer.popleft()
-        if len(buffer) >= self.config.store_buffer_depth:
-            stall = buffer[0] - now
-            counts[_CYCLES] += stall
-            counts[_SB_STALL] += stall
-            now += stall
-            while buffer and buffer[0] <= now:
-                buffer.popleft()
-        last = buffer[-1] if buffer else now
-        buffer.append(max(now, last) + self.config.store_drain_cycles)
+        counts[_DC_READ_MISS] += 1
+        counts[_DC_MISS] += 1
+        counts[_CYCLES] += self._read_miss_cycles(address)
+        self._note_miss(address)
+
+    def _dc_write_miss(self, address: int) -> None:
+        """The write counterpart: fill only under write-allocate."""
+        self.dcache.access(address, self.config.dcache_write_allocate)
+        counts = self.counters.counts
+        counts[_DC_WRITE_MISS] += 1
+        counts[_DC_MISS] += 1
+        self._note_miss(address)
+
+    def _store_buffer_push(self) -> None:
+        """Enter one store into the buffer, stalling while it is full.
+
+        The buffer retires stores back to back, one per
+        ``store_drain_cycles`` (``drain``): a store pushed behind
+        pending ones completes ``drain`` after the newest of them, one
+        pushed into an empty buffer ``drain`` after it enters.  So the
+        stores pending at a push complete at ``last, last - drain,
+        last - 2*drain, ...`` down to the push cycle (``CYCLES`` never
+        decreases, so their run began at or before it), ``last`` being
+        the newest completion.  The buffer is full exactly when
+        ``last - (depth-1)*drain`` is still ahead, and the push then
+        stalls until that store drains.  ``last`` is the whole state;
+        the fast engine's generated store code applies the same rule to
+        the same cell.
+        """
+        counts = self.counters.counts
+        config = self.config
+        drained = self._store_drained
+        ahead = drained[0] - counts[_CYCLES]
+        full = (config.store_buffer_depth - 1) * config.store_drain_cycles
+        if ahead > full:
+            counts[_CYCLES] += ahead - full
+            counts[_SB_STALL] += ahead - full
+        drained[0] = (drained[0] if ahead > 0 else counts[_CYCLES]) + config.store_drain_cycles
 
     def install_signal(self, handler: str, period: int) -> None:
         """Deliver an asynchronous signal every ``period`` instructions.

@@ -503,6 +503,26 @@ class TestErrors:
         err = self._fails_in_one_line(capsys, ["run", str(path)])
         assert err.startswith("error: instruction budget exceeded (5000)")
 
+    @pytest.mark.parametrize(
+        "size, assoc, message",
+        [
+            ("100", "1", "error: icache size 100 must be a multiple of line*assoc"),
+            ("96", "1", "error: icache set count must be a power of two, not 3"),
+            ("512", "0", "error: icache associativity must be at least 1"),
+        ],
+    )
+    def test_unsimulatable_icache_is_one_line_error(
+        self, size, assoc, message, tmp_path, capsys
+    ):
+        path = tmp_path / "one.pl"
+        path.write_text("fn main() { return 1; }\n")
+        err = self._fails_in_one_line(
+            capsys,
+            ["optimize", str(path), "--icache-size", size, "--icache-assoc", assoc],
+        )
+        assert err.startswith(message)
+        assert capsys.readouterr().out == ""
+
 
 class TestProfile:
     """The unified ``profile`` verb and its per-mode delegates."""

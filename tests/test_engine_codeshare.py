@@ -156,12 +156,20 @@ class TestIdenticalBodies:
 
 
 #: Each variant changes one constant the generated source bakes in.
+#: The direct-mapped D-cache's tag test bakes its line bits and set
+#: mask, the store-buffer push its depth and drain; a set-associative
+#: D-cache switches loads and stores to the call form.  Write-allocate
+#: is not here: the inline form leaves it to the miss call.
 VARIANTS = {
     "default": {},
     "icache_miss_penalty": {"icache_miss_penalty": 9},
     "mispredict_penalty": {"mispredict_penalty": 7},
-    "dcache_write_allocate": {"dcache_write_allocate": True},
     "fp_latencies": {"fp_latencies": {"fadd": 2, "fsub": 3, "fmul": 5, "fdiv": 12}},
+    "dcache_size": {"dcache_size": 4 * 1024},
+    "dcache_line": {"dcache_line": 64},
+    "dcache_assoc": {"dcache_assoc": 2},
+    "store_buffer_depth": {"store_buffer_depth": 3},
+    "store_drain_cycles": {"store_drain_cycles": 3},
 }
 
 
@@ -207,6 +215,27 @@ class TestConfigConstants:
             for key in codes[label]:
                 shared = codes[label][key] is codes["default"][key]
                 assert shared == (key not in baked), (label, key)
+
+    def test_write_allocate_is_baked_only_into_the_call_form(self):
+        """The inline D-cache form leaves write-allocate to its miss
+        call; the call form of a set-associative D-cache passes the
+        flag to ``access`` as a literal."""
+
+        def compiled(**overrides):
+            program = parse_program(TWINS)
+            Machine(program, MachineConfig(**overrides), engine="fast").run(ARG)
+            return {
+                (function.name, block.name): _code(block)
+                for function in program.functions.values()
+                for block in function.blocks
+            }
+
+        assert compiled() == compiled(dcache_write_allocate=True)
+        plain = compiled(dcache_assoc=2)
+        allocating = compiled(dcache_assoc=2, dcache_write_allocate=True)
+        split = [key for key in plain if plain[key] is not allocating[key]]
+        assert ("f", "odd") in split and ("g", "left") in split
+        assert ("f", "loop") not in split
 
 
 class TestCacheBound:
