@@ -55,10 +55,11 @@ class MergeError(ValueError):
 
 
 class MergedCCT:
-    """An aggregated CCT: protocol-compatible with :class:`CCTRuntime`
-    and :class:`~repro.cct.serialize.LoadedCCT` (``root``, ``records``,
-    ``heap_bytes()``), so statistics, rendering, profile collection,
-    and :func:`~repro.cct.serialize.save_cct` all apply unchanged."""
+    """An aggregated or reloaded CCT: protocol-compatible with
+    :class:`CCTRuntime` (``root``, ``records``, ``heap_bytes()``), so
+    statistics, rendering, profile collection, and
+    :func:`~repro.cct.serialize.save_cct` all apply unchanged.
+    :func:`~repro.cct.serialize.load_cct` returns one too."""
 
     def __init__(self, root: CallRecord, records: List[CallRecord], heap_bytes: int):
         self.root = root
@@ -79,9 +80,9 @@ def merge_ccts(ccts: Sequence) -> MergedCCT:
     """Merge any number of CCTs (runtimes, loaded dumps, prior merges).
 
     ``ccts`` may be empty (yields the empty CCT) or mix
-    :class:`~repro.cct.runtime.CCTRuntime`,
-    :class:`~repro.cct.serialize.LoadedCCT`, and :class:`MergedCCT`
-    operands; each just needs ``root``.  The inputs are not modified.
+    :class:`~repro.cct.runtime.CCTRuntime` and :class:`MergedCCT`
+    operands (loaded dumps included); each just needs ``root``.  The
+    inputs are not modified.
     """
     roots = [cct.root for cct in ccts if cct is not None]
     if not roots:

@@ -15,6 +15,7 @@ import json
 import os
 from typing import Dict, List
 
+from repro.cct.merge import MergedCCT
 from repro.cct.records import CalleeList, CallRecord, ListNode
 from repro.instrument.tables import CounterTable, TableKind
 
@@ -74,9 +75,9 @@ def save_cct(runtime, path: str) -> None:
     """Write the CCT (records, metrics, path tables) to ``path``.
 
     ``runtime`` is anything with ``records``, ``root``, and
-    ``heap_bytes()`` — a live :class:`CCTRuntime`, a reloaded
-    :class:`LoadedCCT`, or a :class:`~repro.cct.merge.MergedCCT`
-    aggregate (which is how shard workers ship their merged trees).
+    ``heap_bytes()`` — a live :class:`CCTRuntime` or a
+    :class:`~repro.cct.merge.MergedCCT` (a reloaded dump, or the
+    aggregate shard workers ship their merged trees as).
 
     The write is atomic: the payload goes to a same-directory temp
     file which is then renamed over ``path``, so a reader never sees a
@@ -115,19 +116,7 @@ def save_cct(runtime, path: str) -> None:
             os.unlink(tmp)
 
 
-class LoadedCCT:
-    """A reconstructed CCT: the root record plus bookkeeping."""
-
-    def __init__(self, root: CallRecord, records: List[CallRecord], heap_bytes: int):
-        self.root = root
-        self.records = records
-        self._heap_bytes = heap_bytes
-
-    def heap_bytes(self) -> int:
-        return self._heap_bytes
-
-
-def load_cct(path: str) -> LoadedCCT:
+def load_cct(path: str) -> MergedCCT:
     """Reconstruct a CCT written by :func:`save_cct`.
 
     Raises :class:`CCTLoadError` (naming ``path``) when the file is
@@ -177,7 +166,7 @@ def _int_list(values, what: str) -> List[int]:
     return [_int(value, what) for value in values]
 
 
-def _reconstruct(path: str, payload: dict) -> LoadedCCT:
+def _reconstruct(path: str, payload: dict) -> MergedCCT:
     raw_records = payload["records"]
     records: List[CallRecord] = []
     for raw in raw_records:
@@ -227,6 +216,6 @@ def _reconstruct(path: str, payload: dict) -> LoadedCCT:
                 raw_table.get("out_of_range", 0), "table out_of_range"
             )
             record.path_tables[name] = table
-    return LoadedCCT(
+    return MergedCCT(
         records[payload["root"]], records, _int(payload["heap_bytes"], "heap_bytes")
     )

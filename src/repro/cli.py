@@ -131,7 +131,7 @@ def _build_spec(mode, args):
     pic1 = getattr(args, "pic1", None)
     extra = {}
     if mode == "kflow":
-        extra["k"] = getattr(args, "k", None) or 1
+        extra["k"] = getattr(args, "k", None)
     return ProfileSpec(
         mode=mode,
         pic0_event=pic0.upper() if isinstance(pic0, str) else Event.INSTRS,
@@ -680,9 +680,7 @@ def cmd_shard_run(args) -> int:
             # mode= keyword has no way to carry it.
             from repro.session import ProfileSpec
 
-            spec_kwargs["profile"] = ProfileSpec(
-                mode="kflow", k=getattr(args, "k", None) or 1
-            )
+            spec_kwargs["profile"] = ProfileSpec(mode="kflow", k=args.k)
         else:
             spec_kwargs["mode"] = mode
         spec = ShardSpec(**spec_kwargs)

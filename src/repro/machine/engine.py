@@ -11,12 +11,13 @@ machine:
   runs ending at a control transfer (branch, call, return, longjmp), a
   setjmp (so longjmp resume points always land on a segment boundary),
   or the :data:`SEGMENT_CAP` safety split;
-* each segment's common instructions (const/move/binop/fbinop, loads,
-  stores, conditional and unconditional branches, alloc and the
-  path-register pseudo-ops) are compiled to one specialized Python
-  function — generated source with register numbers, counter indices,
-  cost sums, penalties, D-cache and store-buffer geometry and table
-  strides inlined as literals, ``exec``-ed once at decode time.  Those
+* each segment is compiled to one specialized Python function that
+  fetches every one of its instructions and runs the common ones
+  inline (const/move/binop/fbinop, loads, stores, conditional and
+  unconditional branches, alloc, setjmp and the path-register
+  pseudo-ops) — generated source with register numbers, counter
+  indices, cost sums, penalties, D-cache and store-buffer geometry and
+  table strides inlined as literals, ``exec``-ed once at decode time.  Those
   literals are the block's *shape*; every other value is bound as a
   maker parameter through :meth:`_SegmentWriter.const`: what the block
   computes with (immediates, constants, load/store offsets, path
@@ -31,14 +32,17 @@ machine:
   the PIC zero/save/restore sequences, the CCT
   gCSP store before calls, and the CCT entry/exit protocol with a
   generated tag-0 fast path that only calls into the runtime
-  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  Hash tables,
-  per-context tables (the combined mode's ``table == -1``), CCT
-  backedge probes, and programs run without an attached runtime keep
-  the closure fallback;
-* stateful-but-rare instructions (calls, returns, setjmp/longjmp and
-  non-fusible instrumentation hooks) become one specialized closure
-  handler per instruction, with operands, callee records and cost
-  constants bound at decode time; segments invoke them directly;
+  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  Every other
+  hook — hash tables, per-context tables (the combined mode's ``table
+  == -1``), CCT backedge probes, and any hook run without an attached
+  runtime — is one generated line, the simple engine's own runtime
+  call (``machine._require_path_runtime().commit(machine, frame,
+  instr)``), with the instruction bound as a maker parameter;
+* only the instructions that change the frame stack — calls, indirect
+  calls, returns and longjmp — get a closure handler, one per
+  instruction with operands and callee records bound at decode time.
+  It holds the frame change alone; the segment fetches the
+  instruction, flushes its costs and then returns through it;
 * block-static work is hoisted out of the inner loop: per-run
   ``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL`` increments are batched
   into partial sums flushed before the next counter *observer*, and the
@@ -75,15 +79,16 @@ probe flushes only when its body actually reads a counter: every
 simulated profiling *store* drains the store buffer (an observer) and
 every PIC access latches counter values, so those sequences flush
 first, while the pure gCSP assignment of ``CctCall`` batches straight
-through.  Unlike closure handlers, fused probes neither break the
-segment nor reset the static I-cache line tracking, so the probe
-sequence stays exactly the one the simple engine's dynamic
-``iline != last_iline`` test produces.  I-cache probes happen at
-exactly the addresses where that dynamic test would fire: within a
-segment the line sequence is static, and the one dynamic case (the
-first instruction executed after a control transfer) is checked against
-the machine's line state at every segment head and inside every
-closure handler.
+through; an unfused hook's runtime call always flushes first.  Every
+instruction is fetched in one place, :meth:`_SegmentWriter.fetch`, and
+neither a fused probe nor an unfused hook's call breaks the segment or
+resets the static I-cache line tracking (no runtime touches the line
+state), so the probe sequence stays exactly the one the simple
+engine's dynamic ``iline != last_iline`` test produces.  I-cache
+probes happen at exactly the addresses where that dynamic test would
+fire: within a segment the line sequence is static, and the one
+dynamic case (the first instruction executed after a control transfer)
+is checked against the machine's line state at every segment head.
 
 Decoded blocks are cached per machine, keyed by ``(function, block)``
 and validated against the block's **edit generation** (a monotonic
@@ -156,8 +161,7 @@ _STORES = int(Event.STORES)
 #: far past ``max_instructions`` a straight-line run can get.
 SEGMENT_CAP = 64
 
-#: Kinds compiled inline into generated segment code.  Everything else
-#: gets a per-instruction closure handler.
+#: Program kinds compiled inline into generated segment code.
 _INLINE_KINDS = frozenset(
     {
         Kind.CONST,
@@ -171,11 +175,19 @@ _INLINE_KINDS = frozenset(
         Kind.ALLOC,
         Kind.BR,
         Kind.CBR,
+        Kind.SETJMP,
         Kind.PATH_RESET,
         Kind.PATH_ADD,
         Kind.K_PATH_ADD,
     }
 )
+
+#: Kinds that change the frame stack: segment code fetches them, then
+#: calls their closure handler (see :func:`_make_handler`).
+_HANDLER_KINDS = frozenset({Kind.CALL, Kind.ICALL, Kind.RET, Kind.LONGJMP})
+
+#: Kinds whose segment code ends in a control transfer.
+_TRANSFER_KINDS = _HANDLER_KINDS | {Kind.BR, Kind.CBR}
 
 #: Integer binops that map to a Python operator with semantics
 #: identical to the BINARY_OPS lambda (comparisons are emitted as
@@ -267,32 +279,25 @@ class DecodedBlock:
 
 
 # ---------------------------------------------------------------------------
-# Closure handlers for the non-inlined kinds (one per instruction; each
-# performs its own fetch so counter observations keep the simple
-# engine's exact order).
+# Closure handlers: calls, returns and longjmp (one per instruction).
+# Segment code has already fetched the instruction and flushed its
+# costs, so a closure holds only the frame-stack change; control always
+# transfers, so each returns True.
 # ---------------------------------------------------------------------------
 
 
-def _make_handler(machine, counts, instr, addr: int, iline: int, next_index: int, fname: str):
+def _make_handler(machine, instr, next_index: int, fname: str):
     from repro.machine.vm import Frame, MachineError
 
     kind = instr.kind
-    config = machine.config
-    icache_access = machine.icache.access
-    icache_penalty = config.icache_miss_penalty
-    icost = instr.icost
-    cell = machine._iline
-    IC_REF, IC_MISS, CYCLES, INSTRS = _IC_REF, _IC_MISS, _CYCLES, _INSTRS
+    counts = machine.counters.counts
     frames = machine._frames
     functions = machine.program.functions
 
-    # The three hot handler kinds get fully fused closures (fetch and
-    # behaviour in one function); everything else goes through the
-    # generic fetch wrapper around _make_body.
     if kind == Kind.CALL or kind == Kind.ICALL:
         frame_base = machine.memory.frame_base
-        frame_words = config.frame_words
-        max_call_depth = config.max_call_depth
+        frame_words = machine.config.frame_words
+        max_call_depth = machine.config.max_call_depth
         dst, site, args = instr.dst, instr.site, instr.args
         nargs = len(args)
         imm_args = tuple(
@@ -313,14 +318,6 @@ def _make_handler(machine, counts, instr, addr: int, iline: int, next_index: int
             func_reg = instr.func
 
         def step(frame):
-            if iline != cell[0]:
-                cell[0] = iline
-                if not icache_access(addr):
-                    counts[IC_MISS] += 1
-                    counts[CYCLES] += icache_penalty
-            counts[IC_REF] += 1
-            counts[INSTRS] += icost
-            counts[CYCLES] += icost
             if callee is not None:
                 target = callee
             elif table is None:
@@ -358,14 +355,6 @@ def _make_handler(machine, counts, instr, addr: int, iline: int, next_index: int
         rv_value = rv.value if rv_imm else None
 
         def step(frame):
-            if iline != cell[0]:
-                cell[0] = iline
-                if not icache_access(addr):
-                    counts[IC_MISS] += 1
-                    counts[CYCLES] += icache_penalty
-            counts[IC_REF] += 1
-            counts[INSTRS] += icost
-            counts[CYCLES] += icost
             if rv is None:
                 value = None
             elif rv_imm:
@@ -376,7 +365,7 @@ def _make_handler(machine, counts, instr, addr: int, iline: int, next_index: int
             machine.depth = len(frames)
             if frame.is_signal:
                 machine._signal_depth -= 1
-                machine._next_signal_at = counts[INSTRS] + machine._signal_period
+                machine._next_signal_at = counts[_INSTRS] + machine._signal_period
                 if machine.cct_runtime is not None:
                     machine.cct_runtime.on_signal_return(machine)
             tracer = machine.tracer
@@ -391,189 +380,40 @@ def _make_handler(machine, counts, instr, addr: int, iline: int, next_index: int
 
         return step
 
-    body = _make_body(machine, counts, instr, next_index, fname, Frame, MachineError)
+    # Kind.LONGJMP
+    jmpbufs = machine._jmpbufs
+    env, jv = instr.env, instr.value
+    jv_imm = jv.__class__ is Imm
+    jv_value = jv.value if jv_imm else None
 
     def step(frame):
-        if iline != cell[0]:
-            cell[0] = iline
-            if not icache_access(addr):
-                counts[IC_MISS] += 1
-                counts[CYCLES] += icache_penalty
-        counts[IC_REF] += 1
-        counts[INSTRS] += icost
-        counts[CYCLES] += icost
-        return body(frame)
+        regs = frame.regs
+        handle = regs[env]
+        if not 0 <= handle < len(jmpbufs):
+            raise MachineError(f"longjmp through bad handle {handle!r}")
+        depth, block_name, resume_index, dst_reg = jmpbufs[handle]
+        if depth > len(frames):
+            raise MachineError("longjmp to a dead frame")
+        value = jv_value if jv_imm else regs[jv]
+        if value == 0:
+            value = 1
+        tracer = machine.tracer
+        while len(frames) > depth:
+            dead = frames.pop()
+            if tracer is not None:
+                tracer.on_exit(dead.function.name, None)
+        machine.depth = len(frames)
+        if machine.cct_runtime is not None:
+            machine.cct_runtime.unwind_to(machine, len(frames))
+        target = frames[-1]
+        target.block_name = block_name
+        target.index = resume_index
+        target.regs[dst_reg] = value
+        if tracer is not None:
+            tracer.on_block(target.function.name, block_name)
+        return True
 
     return step
-
-
-def _make_body(machine, counts, instr, next_index: int, fname: str, Frame, MachineError):
-    """Post-fetch behaviour of one non-inlined, non-fused instruction."""
-    kind = instr.kind
-    config = machine.config
-    frames = machine._frames
-    functions = machine.program.functions
-
-    if kind == Kind.SETJMP:
-        jmpbufs = machine._jmpbufs
-        dst, env = instr.dst, instr.env
-
-        def body(frame):
-            handle = len(jmpbufs)
-            jmpbufs.append((len(frames), frame.block_name, next_index, dst))
-            regs = frame.regs
-            regs[env] = handle
-            regs[dst] = 0
-            return False
-
-        return body
-
-    if kind == Kind.LONGJMP:
-        jmpbufs = machine._jmpbufs
-        env, jv = instr.env, instr.value
-        jv_imm = jv.__class__ is Imm
-        jv_value = jv.value if jv_imm else None
-
-        def body(frame):
-            regs = frame.regs
-            handle = regs[env]
-            if not 0 <= handle < len(jmpbufs):
-                raise MachineError(f"longjmp through bad handle {handle!r}")
-            depth, block_name, resume_index, dst_reg = jmpbufs[handle]
-            if depth > len(frames):
-                raise MachineError("longjmp to a dead frame")
-            value = jv_value if jv_imm else regs[jv]
-            if value == 0:
-                value = 1
-            tracer = machine.tracer
-            while len(frames) > depth:
-                dead = frames.pop()
-                if tracer is not None:
-                    tracer.on_exit(dead.function.name, None)
-            machine.depth = len(frames)
-            if machine.cct_runtime is not None:
-                machine.cct_runtime.unwind_to(machine, len(frames))
-            target = frames[-1]
-            target.block_name = block_name
-            target.index = resume_index
-            target.regs[dst_reg] = value
-            if tracer is not None:
-                tracer.on_block(target.function.name, block_name)
-            return True
-
-        return body
-
-    if kind == Kind.PATH_COMMIT:
-
-        def body(frame, instr=instr):
-            machine._require_path_runtime().commit(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.HWC_ACCUM:
-
-        def body(frame, instr=instr):
-            machine._require_path_runtime().accumulate(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.EDGE_COUNT:
-
-        def body(frame, instr=instr):
-            machine._require_path_runtime().edge_count(machine, instr)
-            return False
-
-        return body
-
-    if kind == Kind.K_HWC_CYCLE:
-
-        def body(frame, instr=instr):
-            machine._require_path_runtime().k_cycle(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.K_HWC_EXIT:
-
-        def body(frame, instr=instr):
-            machine._require_path_runtime().k_exit(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.HWC_ZERO:
-        pic = machine.pic
-
-        def body(frame):
-            pic.write_zero()
-            pic.read()
-            return False
-
-        return body
-
-    if kind == Kind.HWC_SAVE:
-        pic = machine.pic
-        probe_write = machine.probe_write
-        save_off = (config.frame_words - 1) * WORD
-
-        def body(frame):
-            frame.saved_pic = pic.read()
-            probe_write(frame.base_addr + save_off, frame.saved_pic[0])
-            return False
-
-        return body
-
-    if kind == Kind.HWC_RESTORE:
-        pic = machine.pic
-        probe_read = machine.probe_read
-        save_off = (config.frame_words - 1) * WORD
-
-        def body(frame):
-            probe_read(frame.base_addr + save_off)
-            pic.write_values(*frame.saved_pic)
-            pic.read()
-            return False
-
-        return body
-
-    if kind == Kind.CCT_ENTER:
-
-        def body(frame, instr=instr):
-            machine._require_cct_runtime().enter(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.CCT_CALL:
-
-        def body(frame, instr=instr):
-            machine._require_cct_runtime().before_call(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.CCT_EXIT:
-
-        def body(frame, instr=instr):
-            machine._require_cct_runtime().exit(machine, frame, instr)
-            return False
-
-        return body
-
-    if kind == Kind.CCT_PROBE:
-
-        def body(frame, instr=instr):
-            machine._require_cct_runtime().probe(machine, frame, instr)
-            return False
-
-        return body
-
-    def body(frame):  # pragma: no cover - validation rejects unknown kinds
-        raise MachineError(f"unimplemented instruction kind {kind!r}")
-
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +424,18 @@ def _make_body(machine, counts, instr, next_index: int, fname: str, Frame, Machi
 class _SegmentWriter:
     """Emits one segment's specialized source, batching static costs.
 
-    Fetch costs (``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL``) of
-    consecutive inlined instructions accumulate into partial sums that
-    are flushed before the next *observer* — a store (its store-buffer
-    push reads ``CYCLES``), a fused probe body that reads a counter
-    (profiling stores and PIC accesses; the pure gCSP assignment of
-    ``CctCall`` is no observer and batches through), a closure handler
-    (non-fused hooks read the PIC counters and do their own cost
-    accounting), a control transfer, or segment end.  I-cache probes
-    are emitted in instruction order at line-crossing addresses only;
-    fused probes keep the static line tracking alive, only closure
-    handlers reset it.
+    :meth:`fetch` is the one fetch path: every instruction of the
+    segment goes through it, whatever runs after.  Fetch costs
+    (``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL``) of consecutive
+    instructions accumulate into partial sums that are flushed before
+    the next *observer* — a store (its store-buffer push reads
+    ``CYCLES``), a fused probe body that reads a counter (profiling
+    stores and PIC accesses; the pure gCSP assignment of ``CctCall`` is
+    no observer and batches through), an unfused hook's runtime call
+    (:meth:`hook_call`), a closure handler (:meth:`handler_call`), or
+    segment end.  I-cache probes are emitted in instruction order at
+    line-crossing addresses only, and the static line tracking lasts
+    the whole segment.
 
     Each cost model's hit path is emitted inline when the machine's
     model is of the default class: the direct-mapped D-cache tag test
@@ -613,10 +454,11 @@ class _SegmentWriter:
         self.fname = fname
         self.alloc_link = alloc_link
         #: Per-segment maker parameters beyond the fixed ones, in
-        #: emission order: ("h", instr_index) handler closures,
-        #: ("lk", n) successor-link cells, ("pb", spec) runtime objects
-        #: fused probes bind (tables, PIC methods, CCT state), and
-        #: ("c", value) block-specific constants (see :meth:`const`).
+        #: emission order: ("h", instr_index) the closure handler,
+        #: ("lk", n) successor-link cells, ("pb", spec) bind-time
+        #: objects (hook instructions, and the tables, PIC methods and
+        #: CCT state fused probes use), and ("c", value) block-specific
+        #: constants (see :meth:`const`).
         self.extras: List[Tuple[str, object]] = []
         #: The maker parameter name of each ``extras`` entry.
         self.names: List[str] = []
@@ -686,6 +528,8 @@ class _SegmentWriter:
     # -- fetch ----------------------------------------------------------------
 
     def fetch(self, addr: int, iline: int, icost: int) -> None:
+        """Fetch one instruction: its I-cache probe, if it starts a new
+        line, and its share of the batched fetch costs."""
         if self.prev_iline is None:
             # Dynamic head check: the previous dynamic instruction ran
             # in another segment (or another block entirely).
@@ -729,7 +573,8 @@ class _SegmentWriter:
 
     def sync_cell(self) -> None:
         """Bring the machine's I-cache line state up to date (needed
-        before anything that performs its own dynamic head check)."""
+        before a transfer, whose target segment's head check reads it,
+        and before a runtime call, so a fault leaves it current)."""
         if self.cell_stale:
             self.emit(f"_il[0] = {self.const(self.prev_iline)}")
             self.cell_stale = False
@@ -743,7 +588,7 @@ class _SegmentWriter:
 
     # -- instruction bodies ----------------------------------------------------
 
-    def inline(self, instr, addr: int, iline: int) -> None:
+    def inline(self, instr, index: int, addr: int, iline: int) -> None:
         kind = instr.kind
         self.fetch(addr, iline, instr.icost)
         if kind == Kind.BINOP:
@@ -790,6 +635,15 @@ class _SegmentWriter:
             self.emit(f"_mwr(_a, {value})")
         elif kind == Kind.ALLOC:
             self.emit(f"regs[{instr.dst}] = _halloc({self._operand(instr.size)})")
+        elif kind == Kind.SETJMP:
+            # The resume point is the next instruction, which starts
+            # the next segment.
+            self.emit(f"regs[{instr.env}] = len(machine._jmpbufs)")
+            self.emit(
+                "machine._jmpbufs.append((len(machine._frames), frame.block_name, "
+                f"{self.const(index + 1)}, {instr.dst}))"
+            )
+            self.emit(f"regs[{instr.dst}] = 0")
         elif kind == Kind.PATH_RESET:
             self.emit(f"regs[{instr.reg}] = 0")
         elif kind == Kind.PATH_ADD:
@@ -1158,16 +1012,27 @@ class _SegmentWriter:
             self.emit(f"counts[{_INSTRS}] += 8")
             self.emit(f"counts[{_CYCLES}] += 8")
 
-    def handler_call(self, handler_index: int, transfers: bool) -> None:
-        """Invoke a closure handler (it does its own fetch/cost work)."""
+    def handler_call(self, instr, index: int, addr: int, iline: int) -> None:
+        """Fetch a call, return or longjmp, then transfer through its
+        closure handler (the segment's only one: it ends the segment)."""
+        self.fetch(addr, iline, instr.icost)
         self.flush_costs()
         self.sync_cell()
-        self.prev_iline = None  # handlers may transfer through other lines
-        self._bind(("h", handler_index), f"_h{handler_index}")
-        if transfers:
-            self.emit(f"return _h{handler_index}(frame)")
-        else:
-            self.emit(f"_h{handler_index}(frame)")
+        self._bind(("h", index), "_h")
+        self.emit("return _h(frame)")
+
+    def hook_call(self, instr, index: int, addr: int, iline: int) -> None:
+        """An unfused hook: the simple engine's runtime call, one line.
+
+        Hooks read the PIC, so pending costs flush first.  No runtime
+        touches the I-cache line state, so the segment and its static
+        line tracking carry on past the call.
+        """
+        self.fetch(addr, iline, instr.icost)
+        self.flush_costs()
+        self.sync_cell()
+        call = _HOOK_CALLS[instr.kind].format(self.param("instr", index))
+        self.emit(f"machine.{call}")
 
     def close(self) -> None:
         self.flush_costs()
@@ -1175,8 +1040,20 @@ class _SegmentWriter:
         self.emit("return False")
 
 
-#: Handler kinds that always transfer control when they return.
-_TRANSFER_HANDLERS = frozenset({Kind.CALL, Kind.ICALL, Kind.RET, Kind.LONGJMP})
+#: The runtime call the simple engine makes for each hook kind; segment
+#: code makes the same call for every hook :func:`_fuse_plan` leaves
+#: unfused, so a missing runtime raises the same ``MachineError``.
+_HOOK_CALLS = {
+    Kind.PATH_COMMIT: "_require_path_runtime().commit(machine, frame, {})",
+    Kind.HWC_ACCUM: "_require_path_runtime().accumulate(machine, frame, {})",
+    Kind.EDGE_COUNT: "_require_path_runtime().edge_count(machine, {})",
+    Kind.K_HWC_CYCLE: "_require_path_runtime().k_cycle(machine, frame, {})",
+    Kind.K_HWC_EXIT: "_require_path_runtime().k_exit(machine, frame, {})",
+    Kind.CCT_ENTER: "_require_cct_runtime().enter(machine, frame, {})",
+    Kind.CCT_CALL: "_require_cct_runtime().before_call(machine, frame, {})",
+    Kind.CCT_EXIT: "_require_cct_runtime().exit(machine, frame, {})",
+    Kind.CCT_PROBE: "_require_cct_runtime().probe(machine, frame, {})",
+}
 
 #: Instrumentation kinds whose fusibility depends on the path runtime.
 _TABLE_KINDS = frozenset(
@@ -1188,8 +1065,8 @@ _TABLE_KINDS = frozenset(
         Kind.K_HWC_EXIT,
     }
 )
-#: CCT hooks the generator can fuse (CctProbe stays a closure: rare,
-#: and its interval restart shares no structure with enter/exit).
+#: CCT hooks the generator can fuse (CctProbe stays a runtime call:
+#: rare, and its interval restart shares no structure with enter/exit).
 _CCT_FUSED_KINDS = frozenset({Kind.CCT_ENTER, Kind.CCT_CALL, Kind.CCT_EXIT})
 _CCT_ALL_KINDS = frozenset(
     {Kind.CCT_ENTER, Kind.CCT_CALL, Kind.CCT_EXIT, Kind.CCT_PROBE}
@@ -1213,14 +1090,15 @@ _CCT_PLAN_OPS = {
 
 
 def _fuse_plan(machine, instr) -> Optional[Tuple]:
-    """How to fuse ``instr`` into generated source, or None for a closure.
+    """How to fuse hook ``instr`` into generated source, or None when
+    segment code makes the runtime call instead (:meth:`_SegmentWriter.hook_call`).
 
     Array-table commits/accumulates/edge bumps fuse with their slot
     strides as literals; hash tables, per-context tables
-    (``table == -1``) and missing runtimes fall back.  PIC sequences
-    always fuse.  CCT
-    enter/call/exit fuse when a runtime is attached (the entry slow
-    path still runs in the runtime, through a per-site closure).
+    (``table == -1``) and missing runtimes get the call.  PIC sequences
+    always fuse.  CCT enter/call/exit fuse when a runtime is attached
+    (the entry slow path still runs in the runtime, through a per-site
+    closure); ``CctProbe`` never does.
     """
     kind = instr.kind
     if kind == Kind.HWC_ZERO:
@@ -1389,32 +1267,21 @@ def _generate_block(machine, fname: str, instrs, addrs):
         if writer is None:
             begin(i)
         if kind in _INLINE_KINDS:
-            writer.inline(instr, addr, iline)
-            seg_len += 1
-            if kind == Kind.BR or kind == Kind.CBR:
-                end()
-            elif seg_len >= SEGMENT_CAP:
-                writer.close()
-                end()
+            writer.inline(instr, i, addr, iline)
+        elif kind in _HANDLER_KINDS:
+            writer.handler_call(instr, i, addr, iline)
         elif (plan := _fuse_plan(machine, instr)) is not None:
-            # Fused instrumentation: stays inside the segment, keeps
-            # the static I-cache line tracking, flushes costs only if
-            # its body observes a counter (decided in fuse()).
             writer.fuse(plan, instr, i, addr, iline)
-            seg_len += 1
-            if seg_len >= SEGMENT_CAP:
-                writer.close()
-                end()
         else:
-            transfers = kind in _TRANSFER_HANDLERS
-            writer.handler_call(i, transfers)
-            seg_len += 1
-            if transfers or kind == Kind.SETJMP or seg_len >= SEGMENT_CAP:
-                # Calls and setjmp are resume points: the next
-                # instruction must start its own segment.
-                if not transfers:
-                    writer.close()
-                end()
+            writer.hook_call(instr, i, addr, iline)
+        seg_len += 1
+        if kind in _TRANSFER_KINDS:
+            end()
+        elif kind == Kind.SETJMP or seg_len >= SEGMENT_CAP:
+            # A setjmp's successor is a resume point, like a call's:
+            # it must start its own segment.
+            writer.close()
+            end()
     if writer is not None:
         writer.close()
         end()
@@ -1457,6 +1324,8 @@ def _compile_block(source: str):
 def _resolve_probe_spec(machine, instrs, spec):
     """Bind one ("pb", spec) maker parameter to its runtime object."""
     tag = spec[0]
+    if tag == "instr":
+        return instrs[spec[1]]
     if tag == "tbl":
         return machine.path_runtime.tables[spec[1]]
     if tag == "tblc":
@@ -1507,8 +1376,8 @@ def decode_block(machine, function, block) -> DecodedBlock:
     :func:`_config_key` constants, the :func:`_model_key` forms, and the
     :func:`_probe_key` fingerprint of the attached runtimes); only the
     per-machine binding — the ``exec`` of segment makers plus the
-    closure handlers and fused-probe objects — runs again for each
-    machine.
+    closure handlers, hook instructions and fused-probe objects — runs
+    again for each machine.
     """
     fname = function.name
     instrs = block.instrs
@@ -1540,18 +1409,6 @@ def decode_block(machine, function, block) -> DecodedBlock:
         stats["source_cache_misses"] += 1
     stats["decoded_blocks"] += 1
 
-    line_bits = machine._icache_line_bits
-    # Closure handlers only for the instructions the generated source
-    # actually calls (fused probes replaced the rest).
-    handler_indices = {
-        v for extras in seg_extras for t, v in extras if t == "h"
-    }
-    handlers: Dict[int, Callable] = {
-        i: _make_handler(
-            machine, counts, instrs[i], addrs[i], addrs[i] >> line_bits, i + 1, fname
-        )
-        for i in handler_indices
-    }
     total_icost = sum(instr.icost for instr in instrs)
 
     # Per-machine successor-link cells; registered so invalidation can
@@ -1579,7 +1436,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
         extras = []
         for t, v in seg_extras[j]:
             if t == "h":
-                extras.append(handlers[v])
+                extras.append(_make_handler(machine, instrs[v], v + 1, fname))
             elif t == "lk":
                 extras.append(cells[v])
             elif t == "c":

@@ -150,8 +150,8 @@ class Machine:
         #: one-slot list shared with generated code like ``_iline``.
         self._store_drained: List[int] = [0]
         self._icache_line_bits = cfg.icache_line.bit_length() - 1
-        #: Last fetched I-cache line, in a one-slot list so decoded
-        #: closures and generated code can share the state cheaply.
+        #: Last fetched I-cache line, in a one-slot list so generated
+        #: segment code can share the state cheaply.
         self._iline: List[int] = [-1]
 
         # Attached instrumentation runtimes (set by repro.instrument /

@@ -35,13 +35,7 @@ from repro.profiles.perturbation import (
     estimate_instrumentation_instructions,
     perturbation_ratios,
 )
-from repro.profiles.merge import (
-    ProfileMergeError,
-    merge_counts,
-    merge_edge_profiles,
-    merge_metric_maps,
-    merge_path_profiles,
-)
+from repro.profiles.merge import merge_counts, merge_metric_maps
 from repro.profiles.oracle import PathOracle
 from repro.profiles.sampling import StackSampler
 from repro.profiles.spectra import (
@@ -71,15 +65,12 @@ __all__ = [
     "PathOracle",
     "PathProfile",
     "ProcEntry",
-    "ProfileMergeError",
     "classify_paths",
     "classify_procedures",
     "collect_path_profile",
     "estimate_instrumentation_instructions",
     "merge_counts",
-    "merge_edge_profiles",
     "merge_metric_maps",
-    "merge_path_profiles",
     "paths_per_hot_block",
     "perturbation_ratios",
 ]

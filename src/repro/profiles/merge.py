@@ -1,31 +1,15 @@
 """Merging flat (context-insensitive) profiles across runs.
 
 Counterpart of :mod:`repro.cct.merge` for the flow-sensitive side:
-path profiles and edge profiles from independent runs of the same
-program sum pointwise.  Path sums are only comparable between runs of
-the *same* instrumented program — the numbering assigns them — so the
-merge refuses operands whose potential-path counts disagree.
+path and edge counts and per-path metric vectors from independent runs
+of the same instrumented program sum pointwise (the shard runner's
+merge), and the JSON round-trips below carry them through shard
+checkpoints.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
-
-from repro.profiles.pathprofile import FunctionPathProfile, PathProfile
-
-
-class ProfileMergeError(ValueError):
-    """The operands come from differently-numbered programs."""
-
-
-def _clone_function_profile(fpp: FunctionPathProfile) -> FunctionPathProfile:
-    clone = FunctionPathProfile.__new__(FunctionPathProfile)
-    clone.function = fpp.function
-    clone.numbering = fpp.numbering
-    clone.num_potential_paths = fpp.num_potential_paths
-    clone.counts = dict(fpp.counts)
-    clone.metrics = {key: list(values) for key, values in fpp.metrics.items()}
-    return clone
 
 
 def merge_counts(maps: Sequence[Dict[int, int]]) -> Dict[int, int]:
@@ -47,32 +31,6 @@ def merge_metric_maps(maps: Sequence[Dict[int, List[int]]]) -> Dict[int, List[in
                 slots.extend([0] * (len(values) - len(slots)))
             for offset, value in enumerate(values):
                 slots[offset] += value
-    return merged
-
-
-def merge_path_profiles(profiles: Sequence[PathProfile]) -> PathProfile:
-    """Sum path frequencies and metrics function by function.
-
-    Functions missing from some operands contribute nothing (a shard
-    whose inputs never reached them); functions present in several
-    must agree on their potential-path count, the witness that the
-    same numbering produced the path sums.
-    """
-    merged = PathProfile()
-    for profile in profiles:
-        for name, fpp in profile.functions.items():
-            existing = merged.functions.get(name)
-            if existing is None:
-                merged.functions[name] = _clone_function_profile(fpp)
-                continue
-            if existing.num_potential_paths != fpp.num_potential_paths:
-                raise ProfileMergeError(
-                    f"{name}: path numberings disagree "
-                    f"({existing.num_potential_paths} vs {fpp.num_potential_paths} "
-                    f"potential paths)"
-                )
-            existing.counts = merge_counts([existing.counts, fpp.counts])
-            existing.metrics = merge_metric_maps([existing.metrics, fpp.metrics])
     return merged
 
 
@@ -121,26 +79,11 @@ def metric_maps_from_json(
     }
 
 
-def merge_edge_profiles(
-    per_run: Sequence[Dict[str, Dict[int, int]]],
-) -> Dict[str, Dict[int, int]]:
-    """Sum per-function edge counts (``EdgeInstrumentation.edge_counts``
-    shape: function name -> edge index -> count) across runs."""
-    merged: Dict[str, Dict[int, int]] = {}
-    for run in per_run:
-        for name, counts in run.items():
-            merged[name] = merge_counts([merged.get(name, {}), counts])
-    return merged
-
-
 __all__ = [
-    "ProfileMergeError",
     "counts_from_json",
     "counts_to_json",
     "merge_counts",
-    "merge_edge_profiles",
     "merge_metric_maps",
-    "merge_path_profiles",
     "metric_maps_from_json",
     "metric_maps_to_json",
 ]

@@ -331,8 +331,8 @@ def measure_instrumented_speed(
     ``BENCH_instrumented_speed.json``) is the warm fast-engine speedup
     on the flow-instrumented suite — the mode where every profiling
     hook fuses into generated code.  Combined mode's per-context path
-    tables (``table == -1``) keep the closure fallback, so its speedup
-    reflects fused CCT hooks only.
+    tables (``table == -1``) are runtime calls from generated code, so
+    its speedup reflects fused CCT hooks only.
     """
     from repro.machine.vm import Machine
 

@@ -299,23 +299,6 @@ class ShardOutcome:
     manifest_path: Optional[str] = None
 
 
-def _run_one(
-    session: ProfileSession, program, spec: ShardSpec, args: Tuple[int, ...]
-):
-    """One input's profiling run through the canonical session pipeline.
-
-    ``ProfileSpec`` already validated the mode at construction; this
-    re-checks against the *shard-mergeable* subset so a spec built for
-    a mode the merge layer cannot aggregate fails loudly, by name,
-    instead of silently running some other configuration.
-    """
-    if spec.mode not in MODES:
-        raise ProfileSpecError(
-            f"cannot shard-merge mode {spec.mode!r}; options: {MODES}"
-        )
-    return session.run(spec.profile, program, args)
-
-
 def flow_template(spec: ShardSpec):
     """Instrument (without running) to recover the path numberings.
 
@@ -466,7 +449,7 @@ def _shard_worker_entry(task) -> None:
     for position, (input_index, args) in enumerate(chunk):
         if fault is not None and position == midpoint:
             fault.maybe_fire(workdir, shard, "mid_run")
-        run = _run_one(session, program, spec, args)
+        run = session.run(spec.profile, program, args)
         for event in Event:
             counters[event] += run.result.counters[event]
         returns.append((input_index, run.result.return_value))
@@ -854,7 +837,7 @@ def serial_run(spec: ShardSpec) -> ShardOutcome:
     ccts = []
     profiles: List[PathProfile] = []
     for args in spec.inputs:
-        run = _run_one(session, program, spec, args)
+        run = session.run(spec.profile, program, args)
         for event in Event:
             counters[event] += run.result.counters[event]
         returns.append(run.result.return_value)

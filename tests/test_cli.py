@@ -503,6 +503,14 @@ class TestErrors:
         err = self._fails_in_one_line(capsys, ["run", str(path)])
         assert err.startswith("error: instruction budget exceeded (5000)")
 
+    @pytest.mark.parametrize("verb", ["profile", "optimize", "shard-run"])
+    def test_zero_k_is_one_line_error(self, verb, source_file, capsys):
+        """``--k 0`` is rejected by ``ProfileSpec``, not run as k=1."""
+        err = self._fails_in_one_line(
+            capsys, [verb, source_file, "--mode", "kflow", "--k", "0"]
+        )
+        assert err.startswith("error: k must be an integer >= 1 for kflow mode, got 0")
+
     @pytest.mark.parametrize(
         "size, assoc, message",
         [

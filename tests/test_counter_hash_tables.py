@@ -5,8 +5,9 @@ hash table: counters live in ``HASH_BUCKETS`` buckets of
 ``1 + slot_words`` words (key word first), every update pays a
 key-compare load plus three charged instructions (hash multiply, mask,
 compare), and distinct indices can collide into one bucket's simulated
-slot.  The fast engine never fuses hash-table hooks — they keep the
-closure fallback — so both engines must drive the exact same traffic.
+slot.  The fast engine never fuses hash-table hooks — its segment code
+makes the simple engine's own runtime call for them — so both engines
+must drive the exact same traffic.
 """
 
 from repro.instrument.pathinstr import instrument_paths
@@ -109,7 +110,7 @@ def test_out_of_range_updates_are_quarantined():
     assert machine.counters.snapshot() == before
 
 
-def test_fast_engine_keeps_hash_tables_on_the_closure_path():
+def test_fast_engine_never_fuses_hash_tables():
     """_fuse_plan must refuse every hook that targets a hash table."""
     from repro.machine.engine import _TABLE_KINDS, _fuse_plan
 
