@@ -644,6 +644,8 @@ def _parse_input_sets(raw: str) -> list:
 
 
 def cmd_shard_run(args) -> int:
+    from dataclasses import replace
+
     from repro.cct.stats import cct_statistics
     from repro.profiles.hotpaths import classify_paths
     from repro.tools.shard_runner import ShardSpec, resume_run, shard_run
@@ -667,23 +669,13 @@ def cmd_shard_run(args) -> int:
             if args.inputs is not None
             else [tuple(_int_args(args.args))]
         )
-        mode = _SHARD_MODES[args.mode]
-        spec_kwargs = dict(
+        spec = ShardSpec(
             source=None if args.file.endswith(".asm") else text,
             asm=text if args.file.endswith(".asm") else None,
-            inputs=inputs,
+            profile=replace(_build_spec(_SHARD_MODES[args.mode], args), inputs=inputs),
             timeout=args.timeout,
             backoff=args.backoff,
         )
-        if mode == "kflow":
-            # ``k`` lives only on the embedded ProfileSpec; the legacy
-            # mode= keyword has no way to carry it.
-            from repro.session import ProfileSpec
-
-            spec_kwargs["profile"] = ProfileSpec(mode="kflow", k=args.k)
-        else:
-            spec_kwargs["mode"] = mode
-        spec = ShardSpec(**spec_kwargs)
         outcome = shard_run(
             spec,
             args.shards,

@@ -6,10 +6,12 @@ state) because the interpreter calls it on every load and store.
 
 The fast engine's generated code tests hits inline against
 :attr:`DirectMappedCache.tags` and the most recent line of each
-:attr:`SetAssociativeCache.ways` set, and calls :meth:`access` only
-when that test fails, so neither class counts its accesses (for the
-L1 D-cache they are the ``DC_READ + DC_WRITE`` counters).  Generated
-code binds those lists by identity: they are never rebound.
+:attr:`SetAssociativeCache.ways` set.  Only when that test fails does it
+call :meth:`SetAssociativeCache.access`, or a D-cache miss function
+that fills ``tags`` and counts ``misses`` itself, so neither class
+counts its accesses (for the L1 D-cache they are the ``DC_READ +
+DC_WRITE`` counters).  Generated code binds those lists by identity:
+they are never rebound.
 """
 
 from __future__ import annotations

@@ -51,9 +51,11 @@ machine:
 * the cost models' common case is generated code too, for program and
   fused probe traffic alike.  A direct-mapped D-cache access is the tag
   test ``_dt[_b & mask] != _b`` on the bound ``tags`` list, with the
-  line bits and set mask as literals; only a miss calls the machine
-  (``Machine._dc_read_miss``/``_dc_write_miss``: events, L2 or memory
-  penalty, region attribution, fill per the write-allocate policy).
+  line bits and set mask as literals; a miss is one call to a
+  per-machine function (:func:`_dcache_miss_paths`) that fills the
+  line per the write-allocate policy, counts the miss and its region
+  with one ``bisect``, and adds the L1 penalty, reaching the L2 only
+  when one is enabled.
   A conditional branch steps its two-bit counter on the bound
   predictor ``table`` at a bound slot.  An I-cache line crossing
   compares the line with the most recent line of its set (bound set
@@ -114,13 +116,18 @@ same shape — the same function in two cloned programs, twin helpers,
 repeated loop bodies, blocks that differ only in an immediate or a
 path increment — compile once.  The text is a sound key on its own:
 every constant the code depends on is either a literal in it or an
-argument bound per machine at decode time.
+argument bound per machine at decode time.  The cap is sized to the
+profile loop's working set, so each shape compiles once per process:
+a pass of the repo benchmark's profile-cold workload decodes 645
+distinct texts, sim-long 324 and ci-loop 172.  An LRU cache smaller
+than a loop's working set evicts every entry before its next use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cct.records import CallRecord
@@ -439,7 +446,7 @@ class _SegmentWriter:
 
     Each cost model's hit path is emitted inline when the machine's
     model is of the default class: the direct-mapped D-cache tag test
-    (miss: one ``_drm``/``_dwm`` machine call), the I-cache
+    (miss: one ``_drm``/``_dwm`` call), the I-cache
     most-recent-line test (otherwise: ``_ica``), the two-bit predictor
     step, and the store-buffer push, which never calls.  A model of any
     other class gets the call form (``_dca``, ``_ica``, ``_prd``), so
@@ -1176,17 +1183,65 @@ def _model_key(machine) -> Tuple:
 _MODEL_PARAMS = "_iw, _ica, _dt, _dca, _drm, _dwm, _rmc, _nms, _pt, _prd, _sb"
 
 
+def _dcache_miss_paths(machine, dcache: DirectMappedCache) -> Tuple[Callable, Callable]:
+    """``(read_miss, write_miss)``: what follows a failed inline tag test.
+
+    Each is one call doing what :meth:`DirectMappedCache.access` and
+    the machine's miss bookkeeping do for a known miss: fill the line
+    (a write only under write-allocate), count it in ``dcache.misses``,
+    the miss events and the region of the address, and, for a read,
+    add the L1 penalty, or the L2 miss penalty when an enabled L2 misses
+    too.  Built once per machine and cache.
+    """
+    cached = machine._dc_miss_paths
+    if cached is not None and cached[0] is dcache:
+        return cached[1:]
+    tags = dcache.tags
+    line_bits = dcache._line_bits
+    set_mask = dcache._set_mask
+    counts = machine.counters.counts
+    region_misses = machine.region_misses
+    edges, names = machine.memory.region_table()
+    config = machine.config
+    penalty = config.dcache_read_miss_penalty
+    l2_penalty = config.l2_miss_penalty
+    l2 = machine.l2
+    allocate = config.dcache_write_allocate
+
+    def read_miss(address):
+        block = address >> line_bits
+        tags[block & set_mask] = block
+        dcache.misses += 1
+        counts[_DC_READ_MISS] += 1
+        counts[_DC_MISS] += 1
+        counts[_CYCLES] += penalty if l2 is None or l2.access(address) else l2_penalty
+        region_misses[names[bisect_right(edges, address)]] += 1
+
+    def write_miss(address):
+        if allocate:
+            block = address >> line_bits
+            tags[block & set_mask] = block
+        dcache.misses += 1
+        counts[_DC_WRITE_MISS] += 1
+        counts[_DC_MISS] += 1
+        region_misses[names[bisect_right(edges, address)]] += 1
+
+    machine._dc_miss_paths = (dcache, read_miss, write_miss)
+    return read_miss, write_miss
+
+
 def _model_bindings(machine) -> Tuple:
     """The :data:`_MODEL_PARAMS` objects of ``machine``; a model in the
     call form binds ``None`` for the state its inline form reads."""
     dcache, icache, predictor = _inline_models(machine)
+    drm, dwm = (None, None) if dcache is None else _dcache_miss_paths(machine, dcache)
     return (
         None if icache is None else icache.ways,
         machine.icache.access,
         None if dcache is None else dcache.tags,
         machine.dcache.access,
-        machine._dc_read_miss,
-        machine._dc_write_miss,
+        drm,
+        dwm,
         machine._read_miss_cycles,
         machine._note_miss,
         None if predictor is None else predictor.table,
@@ -1305,9 +1360,11 @@ def _generate_block(machine, fname: str, instrs, addrs):
 
 
 #: Distinct block sources whose code objects stay compiled process-wide.
-#: One entry (code object plus source text) holds about 7 KB, so the
-#: cache tops out near 1.7 MB.
-COMPILE_CACHE_CAP = 256
+#: It holds every benchmark workload's working set with headroom (see
+#: the module docstring).  One entry holds about 8.3 KB (a 5.8 KB code
+#: object and its 2.5 KB source-text key), so a full cache holds about
+#: 8.3 MB.
+COMPILE_CACHE_CAP = 1024
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_CAP)

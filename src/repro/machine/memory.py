@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, List, Tuple, Union
 
 WORD = 8
 
@@ -89,6 +89,12 @@ class MemoryMap:
 
     def global_addr(self, word_index: int) -> int:
         return self.globals.base + word_index * WORD
+
+    def region_table(self) -> Tuple[List[int], List[str]]:
+        """``(edges, names)``: ``address`` lies in the region
+        ``names[bisect_right(edges, address)]``, the rule
+        :meth:`region_of` applies, for callers that inline it."""
+        return self._region_edges, self._region_names
 
     def region_of(self, address: int) -> str:
         return self._region_names[bisect_right(self._region_edges, address)]

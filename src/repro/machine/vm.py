@@ -198,6 +198,10 @@ class Machine:
         #: any invalidation so no stale decoded block survives a splice.
         self._decode_links: List[list] = []
         self._codegen_ns: Optional[dict] = None
+        #: ``(dcache, read_miss, write_miss)``: the fast engine's D-cache
+        #: miss functions, built once per machine for its direct-mapped
+        #: cache (see ``engine._dcache_miss_paths``).
+        self._dc_miss_paths: Optional[tuple] = None
         #: Block-compilation observability (why warm runs are fast):
         #: ``decoded_blocks`` counts per-machine bindings, the
         #: source-cache hit/miss split says how many skipped codegen
@@ -248,25 +252,6 @@ class Machine:
             self._note_miss(address)
         self._store_buffer_push()
         self.memory.write(address, value)
-
-    def _dc_read_miss(self, address: int) -> None:
-        """A read whose inline direct-mapped tag test failed (the fast
-        engine's miss path): fill the line and count the miss, its
-        L2 or memory penalty and its region."""
-        self.dcache.access(address)
-        counts = self.counters.counts
-        counts[_DC_READ_MISS] += 1
-        counts[_DC_MISS] += 1
-        counts[_CYCLES] += self._read_miss_cycles(address)
-        self._note_miss(address)
-
-    def _dc_write_miss(self, address: int) -> None:
-        """The write counterpart: fill only under write-allocate."""
-        self.dcache.access(address, self.config.dcache_write_allocate)
-        counts = self.counters.counts
-        counts[_DC_WRITE_MISS] += 1
-        counts[_DC_MISS] += 1
-        self._note_miss(address)
 
     def _store_buffer_push(self) -> None:
         """Enter one store into the buffer, stalling while it is full.

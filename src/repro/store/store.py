@@ -9,6 +9,7 @@ input set, and (for path profiles) the same Ball–Larus numbering.
 Layout under the store root::
 
     index.json                  the lookup/listing index (atomic rewrites)
+    index.lock                  serializes index updates (``flock``)
     objects/<aa>/<digest>.json  content-addressed blobs
 
 Every artifact — the run record itself, the CCT dump, the flat path
@@ -20,13 +21,21 @@ re-verify the content digest with
 :func:`repro.cct.serialize.file_digest` — a truncated or tampered
 blob is a typed :class:`StoreError` naming the path, never a silently
 wrong profile.
+
+Writers may share a store: each index update (read, append, rewrite)
+runs under an exclusive ``flock`` on ``index.lock``, so concurrent
+saves keep every row.  Readers take no lock, because a rewrite replaces
+the index atomically.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -48,6 +57,10 @@ from repro.store.iojson import canonical_json, write_json_atomic
 RUN_FORMAT = "repro-store-run-v1"
 INDEX_FORMAT = "repro-store-index-v1"
 INDEX_NAME = "index.json"
+LOCK_NAME = "index.lock"
+
+#: Longest wait, in seconds, for another writer's index update.
+INDEX_LOCK_TIMEOUT = 30.0
 
 #: Shortest run-id prefix :meth:`ProfileStore.resolve` accepts.
 MIN_PREFIX = 4
@@ -181,6 +194,33 @@ class ProfileStore:
             raise StoreError(self.index_path, "not a profile store index")
         return payload
 
+    @contextmanager
+    def _index_lock(self):
+        """Hold the exclusive index lock for one read-append-rewrite.
+
+        Waits at most :data:`INDEX_LOCK_TIMEOUT` for another writer,
+        then raises :class:`StoreError`.  The lock is released when the
+        descriptor closes, also when the holder dies.
+        """
+        fd = os.open(os.path.join(self.root, LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            deadline = time.monotonic() + INDEX_LOCK_TIMEOUT
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise StoreError(
+                            self.root,
+                            f"index lock held by another writer for over "
+                            f"{INDEX_LOCK_TIMEOUT:g} s",
+                        ) from None
+                    time.sleep(0.002)
+            yield
+        finally:
+            os.close(fd)
+
     def entries(
         self,
         workload: Optional[str] = None,
@@ -223,20 +263,21 @@ class ProfileStore:
         }
         run_id = self._put_bytes(canonical_json(record).encode())
 
-        index = self._load_index()
-        if not any(entry["run"] == run_id for entry in index["runs"]):
-            seq = 1 + max((entry["seq"] for entry in index["runs"]), default=0)
-            index["runs"].append(
-                {
-                    "run": run_id,
-                    "seq": seq,
-                    "spec_digest": record["spec_digest"],
-                    "workload": record["workload"],
-                    "code_fingerprint": record["code_fingerprint"],
-                    "mode": record["spec"]["mode"],
-                }
-            )
-            write_json_atomic(self.index_path, index)
+        with self._index_lock():
+            index = self._load_index()
+            if not any(entry["run"] == run_id for entry in index["runs"]):
+                seq = 1 + max((entry["seq"] for entry in index["runs"]), default=0)
+                index["runs"].append(
+                    {
+                        "run": run_id,
+                        "seq": seq,
+                        "spec_digest": record["spec_digest"],
+                        "workload": record["workload"],
+                        "code_fingerprint": record["code_fingerprint"],
+                        "mode": record["spec"]["mode"],
+                    }
+                )
+                write_json_atomic(self.index_path, index)
         return run_id
 
     def save_run(self, spec: ProfileSpec, run, *, workload: str, program) -> str:

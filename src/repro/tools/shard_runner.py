@@ -883,9 +883,9 @@ def spec_for_workload(
     return ShardSpec(
         workload=name,
         scale=scale,
-        inputs=tuple(() for _ in range(max(1, runs))),
-        mode=mode,
-        engine=engine,
+        profile=ProfileSpec(
+            mode=mode, engine=engine, inputs=tuple(() for _ in range(max(1, runs)))
+        ),
     )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.session import ProfileSpec
 
 SOURCE = """
 global data[256];
@@ -387,6 +388,34 @@ class TestShardRun:
         assert main(["shard-run", "--resume", manifest]) == 0
         out = capsys.readouterr().out
         assert "resumed 4 inputs over 2 shards" in out
+
+    @pytest.mark.parametrize(
+        "flags, legacy",
+        [
+            (["--mode", "combined"], {"mode": "context_flow"}),
+            (["--mode", "context"], {"mode": "context_hw"}),
+            (["--mode", "flow"], {"mode": "flow_hw"}),
+            (["--mode", "kflow", "--k", "2"], {"profile": ProfileSpec(mode="kflow", k=2)}),
+        ],
+        ids=["combined", "context", "flow", "kflow"],
+    )
+    def test_manifest_spec_matches_legacy_keywords(self, source_file, tmp_path, flags, legacy):
+        """The CLI builds its shard spec from a ``ProfileSpec``; the
+        manifest it writes is the one the legacy ``mode=`` keywords
+        (and, for kflow, an embedded spec) describe."""
+        import json
+        import os
+
+        from repro.tools.shard_runner import ShardSpec, spec_to_json
+
+        keep = str(tmp_path / "shards")
+        os.mkdir(keep)
+        argv = ["shard-run", source_file, "--inputs", "1;2", "--shards", "1"]
+        assert main(argv + flags + ["--keep", keep]) == 0
+        expected = ShardSpec(source=SOURCE, inputs=[(1,), (2,)], **legacy)
+        with open(os.path.join(keep, "manifest.json")) as handle:
+            written = json.load(handle)["spec"]
+        assert written == spec_to_json(expected)
 
     def test_resume_reexecutes_missing_shard(self, source_file, tmp_path, capsys):
         import os

@@ -8,8 +8,9 @@ byte-identical source and share one code object through
 :func:`repro.machine.engine._compile_block`.  These tests check that
 sharing happens, that it never crosses a config constant the source
 bakes in or merges constants that compare equal but differ (``0.0`` and
-``-0.0``), that the cache stays bounded, and that shared code still
-reports each block under its own names.
+``-0.0``), that the cache stays bounded yet holds the profile loop's
+working set, and that shared code still reports each block under its
+own names.
 """
 
 import dataclasses
@@ -34,7 +35,9 @@ from repro.ir.instructions import (
 from repro.machine import engine
 from repro.machine.config import MachineConfig
 from repro.machine.vm import Machine
+from repro.session import MODES, ProfileSession, ProfileSpec
 from repro.tools.pp import PP
+from repro.workloads.suite import SPEC95, build_workload
 from tests.test_engine_differential import _assert_identical
 
 #: ``f`` and ``g`` have the same body under different block names, so
@@ -245,12 +248,12 @@ class TestCacheBound:
         # Immediates are parameters, so each block gets its own shape
         # instead: a move over a register pair no other block uses.
         n = cap + 44
-        lines = ["func main(0) regs=32 {", "entry:", "    const r0, 0", "    br b0"]
+        lines = ["func main(0) regs=64 {", "entry:", "    const r0, 0", "    br b0"]
         for i in range(n):
             nxt = f"b{i + 1}" if i + 1 < n else "done"
             lines += [
                 f"b{i}:",
-                f"    mov r{1 + i % 30}, r{1 + i // 30}",
+                f"    mov r{1 + i % 62}, r{1 + i // 62}",
                 f"    add r0, r0, {i}",
                 f"    br {nxt}",
             ]
@@ -266,6 +269,29 @@ class TestCacheBound:
         again = Machine(parse_program(text), engine="fast").run()
         assert again.counters == result.counters
         assert engine._compile_block.cache_info().currsize <= cap
+
+    def test_profile_loop_compiles_each_shape_once(self):
+        """The cap holds the profile loop's working set: once every
+        suite program has been profiled in every mode, profiling fresh
+        clones of them all again compiles nothing.  A code generation
+        change that grows the working set past the cap fails here."""
+        programs = [build_workload(name, 0.05) for name in SPEC95]
+        specs = [
+            ProfileSpec(mode=mode, engine="fast", **({"k": 2} if mode == "kflow" else {}))
+            for mode in MODES
+        ]
+        session = ProfileSession()
+
+        def compiles_per_round():
+            before = engine._compile_block.cache_info().misses
+            for program in programs:
+                for spec in specs:
+                    session.run(spec, program)
+            return engine._compile_block.cache_info().misses - before
+
+        engine._compile_block.cache_clear()
+        assert compiles_per_round() > 0
+        assert compiles_per_round() == 0
 
 
 #: ``f`` and ``g`` differ only in operand values: constants, binop and

@@ -10,12 +10,16 @@ fixtures:
 * a truncated or tampered blob is a typed :class:`StoreError` naming
   the damaged path, never a silently wrong profile;
 * refs (``latest``, ``latest~N``, ``workload:latest``, id prefixes)
-  resolve as documented and fail as typed errors.
+  resolve as documented and fail as typed errors;
+* concurrent writers keep every index row, and a writer that cannot
+  take the index lock in time fails with a typed error.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import multiprocessing
 import os
 import tempfile
 
@@ -247,6 +251,69 @@ class TestRefs:
         assert store.baseline_for(latest, same_code=True).run_id == ids[0]
         middle = store.load(ids[1])
         assert store.baseline_for(middle, same_code=True) is None
+
+
+WRITERS = 8
+SAVES_PER_WRITER = 25
+
+
+def _save_distinct_records(root, writer, queue):
+    from repro.machine.counters import Event
+
+    store = ProfileStore(root)
+    queue.put(
+        [
+            store.save_record(
+                _record({Event.INSTRS: writer * 1000 + i}, workload=f"w{writer}")
+            )
+            for i in range(SAVES_PER_WRITER)
+        ]
+    )
+
+
+class TestConcurrentWriters:
+    def test_forked_writers_keep_every_row(self, tmp_path):
+        """More writers than cores, each saving distinct records into
+        one store: without the index lock, concurrent read-append-rewrite
+        cycles drop each other's rows."""
+        root = str(tmp_path)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        writers = [
+            ctx.Process(target=_save_distinct_records, args=(root, w, queue))
+            for w in range(WRITERS)
+        ]
+        for process in writers:
+            process.start()
+        saved = [run for _ in writers for run in queue.get(timeout=120)]
+        for process in writers:
+            process.join(timeout=60)
+            assert not process.is_alive()
+            assert process.exitcode == 0
+        store = ProfileStore(root)
+        entries = store.entries()
+        assert len(entries) == WRITERS * SAVES_PER_WRITER
+        assert [e["seq"] for e in entries] == list(range(1, len(entries) + 1))
+        assert sorted(e["run"] for e in entries) == sorted(saved)
+        for run in saved:
+            assert store.resolve(run) == run
+
+    def test_held_lock_times_out_as_typed_error(self, tmp_path, monkeypatch):
+        from repro.machine.counters import Event
+        from repro.store import store as store_module
+
+        store = ProfileStore(str(tmp_path))
+        store.save_record(_record({Event.INSTRS: 1}))
+        monkeypatch.setattr(store_module, "INDEX_LOCK_TIMEOUT", 0.05)
+        with open(os.path.join(store.root, store_module.LOCK_NAME)) as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            with pytest.raises(StoreError, match="index lock") as info:
+                store.save_record(_record({Event.INSTRS: 2}))
+        assert info.value.path == store.root
+        assert len(store.entries()) == 1
+        # Released: the next save goes through.
+        store.save_record(_record({Event.INSTRS: 2}))
+        assert len(store.entries()) == 2
 
 
 class TestSessionSink:
