@@ -7,9 +7,11 @@ counter, and records simulated instructions per second to
 ``BENCH_vm_speed.json`` at the repository root so the speedups are
 tracked across PRs.
 
-The fast engine is timed twice: cold (first run pays per-block decode
-and bytecode compilation) and warm (compiled code cached — the regime
-every experiment runs in).  The asserted speedup is the warm one.
+The fast engine is timed twice: cold (each block shape is compiled
+the first time a run decodes it) and warm (every shape's code object
+is cached and each run only generates and binds its blocks — the
+regime every experiment runs in).  The asserted speedup is the warm
+one.
 
 ``REPRO_VM_SPEED_CHECK_ONLY=1`` relaxes the assertion to >1x for
 noisy shared CI runners; ``REPRO_VM_SPEED_MIN`` overrides the target.
@@ -37,8 +39,9 @@ def test_vm_speed(benchmark):
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     speedup_warm = payload["speedup_warm"]
-    # Warm passes must reuse every compiled block.
-    assert payload["fast_warm"]["source_cache_misses"] == 0, payload
+    # Warm passes must reuse every compiled block: no compile() call.
+    warm = payload["fast_warm"]
+    assert warm["decoded_blocks"] == warm["compile_cache_hits"], payload
     if CHECK_ONLY:
         assert speedup_warm > 1.0, payload
     else:

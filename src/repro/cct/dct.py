@@ -127,13 +127,6 @@ class DynamicCallGraph:
     def calls_to(self, callee: str) -> int:
         return sum(count for edge, count in self.edges.items() if edge.callee == callee)
 
-    def callers_of(self, callee: str) -> List[Tuple[str, int]]:
-        return sorted(
-            (edge.caller, count)
-            for edge, count in self.edges.items()
-            if edge.callee == callee
-        )
-
 
 # ---------------------------------------------------------------------------
 # The defining projection

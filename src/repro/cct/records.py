@@ -124,14 +124,6 @@ class CallRecord:
             if child.parent is self:
                 yield child
 
-    def is_ancestor_or_self(self, other: "CallRecord") -> bool:
-        node: Optional[CallRecord] = self
-        while node is not None:
-            if node is other:
-                return True
-            node = node.parent
-        return False
-
     def context(self) -> List[str]:
         """The calling context: procedure names from the root down."""
         names: List[str] = []

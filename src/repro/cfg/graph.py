@@ -76,9 +76,6 @@ class CFG:
     def predecessors(self, vertex: str) -> List[str]:
         return [e.src for e in self.pred[vertex]]
 
-    def out_degree(self, vertex: str) -> int:
-        return len(self.succ[vertex])
-
     def find_edge(self, src: str, dst: str) -> Optional[Edge]:
         for edge in self.succ[src]:
             if edge.dst == dst:

@@ -111,9 +111,6 @@ class FunctionEditor:
     def insert_before_terminator(self, block: str, instrs: List[Instruction]) -> None:
         self._before_term.setdefault(block, []).extend(instrs)
 
-    def insert_at_top(self, block: str, instrs: List[Instruction]) -> None:
-        self._at_top.setdefault(block, []).extend(instrs)
-
     def insert_on_edge(self, edge: Edge, instrs: List[Instruction]) -> None:
         key = (edge.src, edge.dst)
         self._on_edge.setdefault(key, []).extend(instrs)
@@ -133,19 +130,16 @@ class FunctionEditor:
         for block_name, instrs in self._at_top.items():
             block = function.block(block_name)
             block.instrs[0:0] = instrs
-            block.note_edit()
 
         for block_name, instrs in self._before_term.items():
             block = function.block(block_name)
             if not block.instrs or not is_terminator(block.instrs[-1]):
                 raise EditError(f"{block_name!r} lacks a terminator")
             block.instrs[-1:-1] = instrs
-            block.note_edit()
 
         if self._entry_prefix:
             entry = function.entry
             entry.instrs[0:0] = self._entry_prefix
-            entry.note_edit()
 
         function.invalidate_index()
         function.assign_call_sites()
@@ -157,7 +151,6 @@ class FunctionEditor:
         if term.kind == Kind.BR:
             # Sole successor: placing before the terminator is on-edge.
             src_block.instrs[-1:-1] = instrs
-            src_block.note_edit()
             return
         if term.kind != Kind.CBR:
             raise EditError(
@@ -182,9 +175,6 @@ class FunctionEditor:
             term.els = split_name
         else:  # pragma: no cover - edge came from this terminator
             raise EditError(f"edge {src}->{dst} does not match terminator")
-        # The retargeted terminator is an in-place instruction edit the
-        # decode caches cannot see through the list object alone.
-        src_block.note_edit()
 
     def _fresh_block_name(self, src: str, dst: str) -> str:
         while True:

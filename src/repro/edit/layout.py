@@ -28,9 +28,6 @@ class Layout:
         self.function_base: Dict[str, int] = {}
         self.code_size = 0
 
-    def address_of(self, function: str, block: str, index: int) -> int:
-        return self.block_addrs[(function, block)][index]
-
 
 def assign_layout(program: Program) -> Layout:
     """Lay out functions sequentially from :data:`CODE_BASE`."""

@@ -71,7 +71,6 @@ def _instrument_function(function: Function, read_at_backedges: bool) -> int:
                 rewritten.append(CctCall(instr.site))
             rewritten.append(instr)
         block.instrs = rewritten
-        block.note_edit()
 
     cfg = build_cfg(function)
     editor = FunctionEditor(function, cfg)

@@ -76,10 +76,6 @@ class FunctionBuilder:
         self._current = self.function.add_block(Block(name))
         return name
 
-    def switch_to(self, name: str) -> None:
-        """Resume emitting into an existing (unterminated) block."""
-        self._current = self.function.block(name)
-
     def emit(self, instr: Instruction) -> Instruction:
         if self._current is None:
             raise IRValidationError("no current block; call block() first")

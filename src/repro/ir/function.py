@@ -9,7 +9,6 @@ table used by indirect calls, and the entry-point name.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.ir.instructions import (
@@ -26,41 +25,14 @@ class IRValidationError(Exception):
     """Raised when a function or program is structurally malformed."""
 
 
-#: Monotonic source of block edit generations.  ``id(block.instrs)`` is
-#: not a safe cache-validation token — a rebound list can reuse a
-#: GC-recycled id — so every splice stamps the block with a fresh value
-#: from this counter instead.
-_EDIT_GENERATIONS = itertools.count(1)
-
-
 class Block:
     """A basic block: straight-line instructions ending in one terminator."""
 
-    __slots__ = ("name", "instrs", "edit_gen", "_decode_cache")
+    __slots__ = ("name", "instrs")
 
     def __init__(self, name: str, instrs: Optional[List[Instruction]] = None):
         self.name = name
         self.instrs: List[Instruction] = instrs if instrs is not None else []
-        #: Edit generation: bumped by :meth:`note_edit` whenever the
-        #: instruction list is spliced or rebound.  The decode caches of
-        #: :mod:`repro.machine.engine` validate against this (plus the
-        #: list length as a belt-and-braces check), never against
-        #: ``id(instrs)``.
-        self.edit_gen = 0
-        #: Compiled-code cache of :mod:`repro.machine.engine`; the
-        #: generated source depends only on the instruction list, the
-        #: block's base address, and a few config constants, so machines
-        #: simulating the same program share one compile.
-        self._decode_cache = None
-
-    def note_edit(self) -> None:
-        """Stamp a fresh edit generation after mutating ``instrs``.
-
-        Called by :class:`repro.edit.editor.FunctionEditor` and every
-        pass that splices or rebinds the instruction list; decoded-block
-        caches treat a changed generation as an eviction signal.
-        """
-        self.edit_gen = next(_EDIT_GENERATIONS)
 
     @property
     def terminator(self) -> Instruction:
@@ -224,9 +196,7 @@ class Program:
         :func:`~repro.ir.instructions.copy_instruction`) and the function
         table are new objects; everything immutable is shared.  An
         instruction object that sits in two places stays one object in
-        the copy.  Each block keeps its edit generation and the fast
-        engine's compiled-code cache: the cached tuple is never mutated,
-        and any edit stamps a fresh generation that evicts it.
+        the copy.
         """
         copies: Dict[int, Instruction] = {}
         functions: Dict[str, Function] = {}
@@ -239,10 +209,7 @@ class Program:
                     if new is None:
                         new = copies[id(instr)] = copy_instruction(instr)
                     instrs.append(new)
-                cloned = Block(block.name, instrs)
-                cloned.edit_gen = block.edit_gen
-                cloned._decode_cache = block._decode_cache
-                blocks.append(cloned)
+                blocks.append(Block(block.name, instrs))
             functions[name] = Function(
                 function.name, function.num_params, function.num_regs, blocks
             )
@@ -333,12 +300,3 @@ def validate_program(program: Program) -> None:
     for function in program.functions.values():
         validate_function(function, program)
 
-
-def count_kind(program: Program, kind: Kind) -> int:
-    """How many instructions of ``kind`` the program contains (test helper)."""
-    return sum(
-        1
-        for f in program.functions.values()
-        for i in f.instructions()
-        if i.kind == kind
-    )

@@ -13,7 +13,7 @@ phenomenon Table 2 studies.
 Two interchangeable execution engines run the IR (``Machine(...,
 engine=...)``): ``"simple"``, the reference if/elif interpreter, and
 ``"fast"`` (default), the predecoded block engine in
-:mod:`repro.machine.engine` — decode-once cached segments with
+:mod:`repro.machine.engine` — segments decoded once per run, with
 block-static cost sums and I-cache probe points hoisted out of the hot
 loop.  The two are bit-identical in every counter; see docs/API.md.
 """

@@ -4,8 +4,7 @@ The simple interpreter in :mod:`repro.machine.vm` re-inspects
 ``instr.kind`` through a long ``if/elif`` chain for every *dynamic*
 instruction and recomputes fetch bookkeeping (``address >> line_bits``)
 per instruction.  All of that is static per *static* instruction, so
-this engine compiles each basic block once and caches the result on the
-machine:
+this engine compiles each basic block once per run:
 
 * the block is partitioned into **segments** — maximal straight-line
   runs ending at a control transfer (branch, call, return, longjmp), a
@@ -68,7 +67,7 @@ machine:
   (depth-1)*drain`` when that is positive.  Any model of another class
   — a set-associative D-cache, an ablation stub — is reached through
   its methods instead (the call form); the model classes select the
-  form at decode time and are part of the block cache key.
+  form at decode time.
 
 Equivalence argument: inside a batched run no operation reads a
 counter, so only the *order* of commutative additions into the counter
@@ -92,22 +91,13 @@ fire: within a segment the line sequence is static, and the one
 dynamic case (the first instruction executed after a control transfer)
 is checked against the machine's line state at every segment head.
 
-Decoded blocks are cached per machine, keyed by ``(function, block)``
-and validated against the block's **edit generation** (a monotonic
-counter :meth:`repro.ir.function.Block.note_edit` bumps on every
-splice; ``id(block.instrs)`` is unsafe — a GC'd list's id can be
-reused) plus ``len(block.instrs)``, so :mod:`repro.edit` splices
-invalidate stale entries automatically; call
-:meth:`Machine.invalidate_decoded` after any other program surgery.
-The generated source cached on the block additionally keys on the
-config constants it bakes in (:func:`_config_key`), on the cost-model
-classes and geometry (:func:`_model_key`) and on a *probe fingerprint*
-— the table geometry and CCT flags baked into fused probes — so
-machines with differently-shaped models or runtimes never share
-compiled code.  ``Program.clone()`` carries that cache, which is why
-the model classes are in the key: an ablation stub set on a machine
-before its first decode must not reuse tag-test code, nor leave its
-call-form code to a default machine.
+Decoded blocks live for one run.  :meth:`Machine.run` lays the program
+out and empties the machine's ``(function, block)`` table at the start
+of every run, and a block is decoded when the run first reaches it, so
+a decoding always reflects the program, the cost models and the
+attached runtimes as they stand at that run's start.  Nothing has to
+detect edits: a rerun after any splice, in-place instruction change,
+model swap or runtime swap sees it.
 
 Code objects come from :func:`_compile_block`, a process-wide LRU
 cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text.
@@ -134,7 +124,6 @@ from repro.cct.records import CallRecord
 from repro.cct.runtime import GCSP_SLOT, _ShadowEntry
 from repro.instrument.tables import TableKind
 from repro.ir.instructions import (
-    BINARY_OPS,
     FLOAT_OPS,
     Imm,
     Kind,
@@ -242,47 +231,19 @@ def _const_key(value) -> Tuple:
 
 
 class DecodedBlock:
-    """One block's compiled step list plus cache-validation metadata."""
+    """One block's compiled step list, valid for the run that decoded it."""
 
-    __slots__ = (
-        "steps",
-        "nsteps",
-        "resume",
-        "edit_gen",
-        "n_instrs",
-        "total_icost",
-        "source",
-        "runtimes",
-    )
+    __slots__ = ("steps", "nsteps", "resume", "source")
 
-    def __init__(
-        self,
-        steps: List[Callable],
-        resume: Dict[int, int],
-        edit_gen: int,
-        n_instrs: int,
-        total_icost: int,
-        source: str,
-        runtimes: Tuple,
-    ):
+    def __init__(self, steps: List[Callable], resume: Dict[int, int], source: str):
         self.steps = steps
         self.nsteps = len(steps)
         #: Instruction index -> step index, defined for every step start
         #: (block entry, and the instruction after each call/setjmp —
         #: the only places ``frame.index`` can point mid-block).
         self.resume = resume
-        #: The block's edit generation at decode time; a bumped
-        #: generation (any splice) evicts this decoding.
-        self.edit_gen = edit_gen
-        self.n_instrs = n_instrs
-        self.total_icost = total_icost
         #: The generated segment source (kept for tests and debugging).
         self.source = source
-        #: The (path_runtime, cct_runtime) pair whose tables/records the
-        #: fused probes bound; strong references on purpose, so identity
-        #: comparison in ``_validate_decoded`` can never hit a recycled
-        #: ``id``.  Swapping runtimes between runs evicts the decoding.
-        self.runtimes = runtimes
 
 
 # ---------------------------------------------------------------------------
@@ -856,26 +817,16 @@ class _SegmentWriter:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
     def _fuse_accum(self, instr, table) -> None:
-        tc = self.param("tblc", instr.table)
-        tm = self.param("tblm", instr.table)
+        # Register the table params before ``picr``, in the order
+        # _accum_slots asks for them: ``picr`` first would rename them
+        # and change the source text.
+        self.param("tblc", instr.table)
+        self.param("tblm", instr.table)
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
-        self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
-        self._bump(tc, "_i", "_a", 3)
-        self.emit(f"    _m = {tm}.get(_i)")
-        self.emit("    if _m is None:")
-        self.emit("        _m = [0, 0]")
-        self.emit(f"        {tm}[_i] = _m")
-        self.emit(f"    _a += {WORD}")
-        self.probe_read("_a", 3)
-        self.emit("    _m[0] += _p[0]")
-        self.probe_write("_a", "_m[0]", 3)
-        self.emit(f"    _a += {WORD}")
-        self.probe_read("_a", 3)
-        self.emit("    _m[1] += _p[1]")
-        self.probe_write("_a", "_m[1]", 3)
+        self._accum_slots(instr, table, 3)
         self.emit("else:")
         self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
         if instr.rezero:
@@ -885,11 +836,9 @@ class _SegmentWriter:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
     def _accum_slots(self, instr, table, indent: int) -> None:
-        """The in-range accumulate body with ``_i`` and ``_p`` already set.
-
-        Mirrors :meth:`_fuse_accum`'s interior, parameterized on indent
-        so the k-iteration probes can nest it under their layer branch.
-        """
+        """The in-range accumulate body with ``_i`` and ``_p`` already set,
+        at ``indent`` so the k-iteration probes can nest it under their
+        layer branch."""
         tc = self.param("tblc", instr.table)
         tm = self.param("tblm", instr.table)
         self.emit(
@@ -1075,9 +1024,6 @@ _TABLE_KINDS = frozenset(
 #: CCT hooks the generator can fuse (CctProbe stays a runtime call:
 #: rare, and its interval restart shares no structure with enter/exit).
 _CCT_FUSED_KINDS = frozenset({Kind.CCT_ENTER, Kind.CCT_CALL, Kind.CCT_EXIT})
-_CCT_ALL_KINDS = frozenset(
-    {Kind.CCT_ENTER, Kind.CCT_CALL, Kind.CCT_EXIT, Kind.CCT_PROBE}
-)
 
 _TABLE_PLAN_OPS = {
     Kind.PATH_COMMIT: "commit",
@@ -1131,19 +1077,6 @@ def _fuse_plan(machine, instr) -> Optional[Tuple]:
     return None
 
 
-def _config_key(config) -> Tuple:
-    """The config constants baked into generated segment source."""
-    return (
-        config.icache_line,
-        config.icache_miss_penalty,
-        config.mispredict_penalty,
-        config.frame_words,
-        config.store_buffer_depth,
-        config.store_drain_cycles,
-        tuple(sorted(config.fp_latencies.items())),
-    )
-
-
 def _inline_models(machine) -> Tuple:
     """``(dcache, icache, predictor)``: each of the machine's models
     whose hit path generated code inlines, ``None`` for a model of any
@@ -1154,28 +1087,6 @@ def _inline_models(machine) -> Tuple:
         dcache if dcache.__class__ is DirectMappedCache else None,
         icache if icache.__class__ is SetAssociativeCache else None,
         predictor if predictor.__class__ is TwoBitPredictor else None,
-    )
-
-
-def _model_key(machine) -> Tuple:
-    """Fingerprint of how generated code reaches the cost models.
-
-    Part of the block cache key, next to :func:`_config_key`: the model
-    classes select inline or call forms, the inline forms bake in the
-    D-cache's line bits and set mask and bind I-cache sets and
-    predictor slots, and the D-cache call form bakes in the
-    write-allocate flag.
-    """
-    dcache, icache, predictor = _inline_models(machine)
-    return (
-        machine.dcache.__class__,
-        machine.icache.__class__,
-        machine.predictor.__class__,
-        (dcache._line_bits, dcache._set_mask)
-        if dcache is not None
-        else machine.config.dcache_write_allocate,
-        None if icache is None else (icache._line_bits, icache._set_mask),
-        None if predictor is None else predictor._mask,
     )
 
 
@@ -1191,11 +1102,10 @@ def _dcache_miss_paths(machine, dcache: DirectMappedCache) -> Tuple[Callable, Ca
     (a write only under write-allocate), count it in ``dcache.misses``,
     the miss events and the region of the address, and, for a read,
     add the L1 penalty, or the L2 miss penalty when an enabled L2 misses
-    too.  Built once per machine and cache.
+    too.  Built once per run, like the decodings that call them.
     """
-    cached = machine._dc_miss_paths
-    if cached is not None and cached[0] is dcache:
-        return cached[1:]
+    if machine._dc_miss_paths is not None:
+        return machine._dc_miss_paths
     tags = dcache.tags
     line_bits = dcache._line_bits
     set_mask = dcache._set_mask
@@ -1226,7 +1136,7 @@ def _dcache_miss_paths(machine, dcache: DirectMappedCache) -> Tuple[Callable, Ca
         counts[_DC_MISS] += 1
         region_misses[names[bisect_right(edges, address)]] += 1
 
-    machine._dc_miss_paths = (dcache, read_miss, write_miss)
+    machine._dc_miss_paths = (read_miss, write_miss)
     return read_miss, write_miss
 
 
@@ -1250,44 +1160,12 @@ def _model_bindings(machine) -> Tuple:
     )
 
 
-def _probe_key(machine, instrs) -> Tuple:
-    """Fingerprint of everything fused probes bake into source.
-
-    Part of the block-level compile cache key: two machines share a
-    compiled block only when every instrumentation hook would fuse the
-    same way with the same literals (table geometry, CCT flags).
-    Uninstrumented blocks fingerprint to ``()`` and share universally.
-    """
-    parts = []
-    path_runtime = machine.path_runtime
-    cct_runtime = machine.cct_runtime
-    for instr in instrs:
-        kind = instr.kind
-        if kind in _TABLE_KINDS:
-            if path_runtime is None or not 0 <= instr.table < len(path_runtime.tables):
-                parts.append(("slow",))
-            else:
-                table = path_runtime.tables[instr.table]
-                parts.append(
-                    (table.kind.value, table.base, table.capacity, table.metric_slots)
-                )
-        elif kind in _CCT_ALL_KINDS:
-            if cct_runtime is None:
-                parts.append(("slow",))
-            else:
-                parts.append(("cct", cct_runtime.collect_hw, cct_runtime.by_site))
-    return tuple(parts)
-
-
 def _generate_block(machine, fname: str, instrs, addrs):
     """Produce ``(source, starts, seg_extras, n_links)`` for one block.
 
-    Pure in everything but ``instrs``/``addrs``, the few config
-    constants of :func:`_config_key` and the model forms of
-    :func:`_model_key`, so the result is cached on the block and shared
-    by every machine simulating the same program.  Block-specific
-    constants are maker parameters (``seg_extras``), so ``source``
-    depends only on the block's shape, the config and the model forms.
+    Block-specific constants are maker parameters (``seg_extras``), so
+    ``source`` depends only on the block's shape, the config constants
+    it bakes in, the model forms and the fused probes' geometry.
     """
     line_bits = machine._icache_line_bits
 
@@ -1426,52 +1304,29 @@ def _resolve_probe_spec(machine, instrs, spec):
 
 
 def decode_block(machine, function, block) -> DecodedBlock:
-    """Compile one block into its step list (called once per block).
+    """Compile one block into its step list for the current run.
 
-    The generated source and code object are cached on the block (they
-    depend only on the instruction list, the block's base address,
-    :func:`_config_key` constants, the :func:`_model_key` forms, and the
-    :func:`_probe_key` fingerprint of the attached runtimes); only the
-    per-machine binding — the ``exec`` of segment makers plus the
-    closure handlers, hook instructions and fused-probe objects — runs
-    again for each machine.
+    Generates the block's source, takes its code object from
+    :func:`_compile_block`, and binds it to this machine: the ``exec``
+    of segment makers plus the closure handlers, hook instructions and
+    fused-probe objects.
     """
     fname = function.name
     instrs = block.instrs
     addrs = machine.layout.block_addrs[(fname, block.name)]
     counts = machine.counters.counts
 
-    cache_key = (
-        block.edit_gen,
-        len(instrs),
-        addrs[0] if addrs else 0,
-        _config_key(machine.config),
-        _model_key(machine),
-        _probe_key(machine, instrs),
-    )
+    source, starts, seg_extras, n_links = _generate_block(machine, fname, instrs, addrs)
     stats = machine.codegen_stats
-    cached = block._decode_cache
-    if cached is not None and cached[0] == cache_key:
-        _key, source, code, starts, seg_extras, n_links = cached
-        stats["source_cache_hits"] += 1
-    else:
-        source, starts, seg_extras, n_links = _generate_block(
-            machine, fname, instrs, addrs
-        )
-        hits = _compile_block.cache_info().hits
-        code = _compile_block(source)
-        if _compile_block.cache_info().hits != hits:
-            stats["compile_cache_hits"] += 1
-        block._decode_cache = (cache_key, source, code, starts, seg_extras, n_links)
-        stats["source_cache_misses"] += 1
+    hits = _compile_block.cache_info().hits
+    code = _compile_block(source)
+    if _compile_block.cache_info().hits != hits:
+        stats["compile_cache_hits"] += 1
     stats["decoded_blocks"] += 1
 
-    total_icost = sum(instr.icost for instr in instrs)
-
-    # Per-machine successor-link cells; registered so invalidation can
-    # reset them (a stale link would bypass the cache's validity check).
+    # Successor-link cells: a transfer fills its cell with the target's
+    # decoding on first use, and both live exactly as long as the run.
     cells = [[None] for _ in range(n_links)]
-    machine._decode_links.extend(cells)
 
     def resolve_link(cell, block_name, _function=function):
         decoded = machine._decoded_block(_function, block_name)
@@ -1513,15 +1368,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
             )
         )
 
-    return DecodedBlock(
-        steps,
-        resume,
-        block.edit_gen,
-        len(instrs),
-        total_icost,
-        source,
-        (machine.path_runtime, machine.cct_runtime),
-    )
+    return DecodedBlock(steps, resume, source)
 
 
 # ---------------------------------------------------------------------------
@@ -1537,7 +1384,6 @@ def execute(machine):
     """
     from repro.machine.vm import MachineError
 
-    machine._validate_decoded()
     counts = machine.counters.counts
     frames = machine._frames
     max_instructions = machine.config.max_instructions

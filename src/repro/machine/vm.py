@@ -184,34 +184,29 @@ class Machine:
         #: Nonzero while a handler (or anything it called) runs:
         #: signals stay masked for the handler's whole dynamic extent.
         self._signal_depth = 0
-        from repro.edit.layout import assign_layout
-
-        self.layout = assign_layout(program)
+        #: Code addresses of the program as laid out at the start of the
+        #: current run (see :meth:`run`).
+        self.layout = None
 
         #: Call stack, shared with the execution engines (a persistent
         #: list so decoded closures can bind its identity once).
         self._frames: List[Frame] = []
         self._return_value: Union[int, float, None] = None
-        #: (function, block) -> DecodedBlock cache for the fast engine.
+        #: (function, block) -> DecodedBlock: the fast engine's decodings
+        #: for the current run.
         self._decoded: Dict[Tuple[str, str], object] = {}
-        #: Successor-link cells baked into decoded transfers; reset on
-        #: any invalidation so no stale decoded block survives a splice.
-        self._decode_links: List[list] = []
         self._codegen_ns: Optional[dict] = None
-        #: ``(dcache, read_miss, write_miss)``: the fast engine's D-cache
-        #: miss functions, built once per machine for its direct-mapped
-        #: cache (see ``engine._dcache_miss_paths``).
+        #: ``(read_miss, write_miss)``: the fast engine's D-cache miss
+        #: functions for the current run's direct-mapped cache (see
+        #: ``engine._dcache_miss_paths``).
         self._dc_miss_paths: Optional[tuple] = None
-        #: Block-compilation observability (why warm runs are fast):
-        #: ``decoded_blocks`` counts per-machine bindings, the
-        #: source-cache hit/miss split says how many skipped codegen
-        #: via the block-level compiled-source cache, and
-        #: ``compile_cache_hits`` how many of those misses still
-        #: skipped ``compile()`` through the process-wide code cache.
+        #: Block-compilation observability, summed over this machine's
+        #: runs: ``decoded_blocks`` counts block decodings and
+        #: ``compile_cache_hits`` how many of them skipped ``compile()``
+        #: through the process-wide code cache, so their difference is
+        #: the number of ``compile()`` calls.
         self.codegen_stats: Dict[str, int] = {
             "decoded_blocks": 0,
-            "source_cache_hits": 0,
-            "source_cache_misses": 0,
             "compile_cache_hits": 0,
         }
 
@@ -314,7 +309,13 @@ class Machine:
         (:mod:`repro.machine.engine`, the default); ``engine="simple"``
         uses the reference if/elif interpreter.  Both produce
         bit-identical counters (the differential tests enforce it).
+
+        Each run lays the program out and decodes it afresh, as it
+        stands now: a rerun sees any edit made since the last run, and
+        the last run's decodings go.
         """
+        from repro.edit.layout import assign_layout
+
         engine_name = engine or self.engine
         program = self.program
         entry = program.functions.get(program.entry)
@@ -324,6 +325,9 @@ class Machine:
             raise MachineError(
                 f"{program.entry} takes {entry.num_params} args, got {len(args)}"
             )
+        self.layout = assign_layout(program)
+        self._decoded = {}
+        self._dc_miss_paths = None
         frames = self._frames
         frames.clear()
         frame = Frame(entry, self.memory.frame_base(0, self.config.frame_words), None)
@@ -383,91 +387,16 @@ class Machine:
             self._codegen_ns["_halloc"] = self.memory.heap_alloc
         return self._codegen_ns
 
-    def _validate_decoded(self) -> None:
-        """Evict decoded blocks that no longer match the program.
-
-        A decoding is stale when the block's edit generation moved (any
-        :meth:`repro.ir.function.Block.note_edit` splice), the block
-        disappeared, or the machine's attached runtimes changed since
-        the fused probes bound their tables and CCT state.  Called once
-        per run by the fast engine; programs cannot be edited mid-run,
-        so the per-run sweep is enough for the hot loop's cache hits to
-        skip validation entirely.
-        """
-        stale = []
-        functions = self.program.functions
-        runtimes = (self.path_runtime, self.cct_runtime)
-        for key, decoded in self._decoded.items():
-            fname, bname = key
-            function = functions.get(fname)
-            block = None
-            if function is not None:
-                try:
-                    block = function.block(bname)
-                except KeyError:
-                    block = None
-            if (
-                block is None
-                or decoded.edit_gen != block.edit_gen
-                or decoded.n_instrs != len(block.instrs)
-                or decoded.runtimes[0] is not runtimes[0]
-                or decoded.runtimes[1] is not runtimes[1]
-            ):
-                stale.append(key)
-        for key in stale:
-            del self._decoded[key]
-        if stale:
-            for cell in self._decode_links:
-                cell[0] = None
-
     def _decoded_block(self, function: Function, block_name: str):
-        """Fetch (or build) the decoded form of one block.
-
-        Cached by ``(function, block)`` and validated against the
-        block's edit generation and length, so splices that replace or
-        grow ``block.instrs`` re-decode automatically.  (Generation,
-        not ``id(block.instrs)``: a rebound list can reuse the id of a
-        garbage-collected predecessor and validate a stale decoding.)
-        """
+        """The current run's decoding of one block, decoded on first use."""
         key = (function.name, block_name)
-        block = function.block(block_name)
-        instrs = block.instrs
         decoded = self._decoded.get(key)
-        if (
-            decoded is not None
-            and decoded.edit_gen == block.edit_gen
-            and decoded.n_instrs == len(instrs)
-        ):
-            return decoded
-        from repro.machine.engine import decode_block
+        if decoded is None:
+            from repro.machine.engine import decode_block
 
-        decoded = decode_block(self, function, block)
-        self._decoded[key] = decoded
+            decoded = decode_block(self, function, function.block(block_name))
+            self._decoded[key] = decoded
         return decoded
-
-    def invalidate_decoded(self) -> None:
-        """Drop all decoded blocks and recompute the code layout.
-
-        Call after editing the program underneath a live machine (the
-        supported flow — instrument first, then build the machine —
-        never needs this; the per-block generation check catches
-        ordinary :mod:`repro.edit` splices anyway).  Bumps every
-        block's edit generation and drops its compiled-source cache, so
-        even in-place instruction mutations the editor never saw are
-        picked up — by this machine and any other simulating the same
-        program.
-        """
-        from repro.edit.layout import assign_layout
-
-        self._decoded.clear()
-        for cell in self._decode_links:
-            cell[0] = None
-        self._decode_links.clear()
-        for function in self.program.functions.values():
-            for block in function.blocks:
-                block.note_edit()
-                block._decode_cache = None
-        self.layout = assign_layout(self.program)
 
     def _run_simple(self) -> Union[int, float, None]:
         frames = self._frames

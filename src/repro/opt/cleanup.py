@@ -44,9 +44,8 @@ from repro.ir.instructions import (
 def fold_constants(function: Function) -> int:
     """Per-block constant/copy propagation; returns changes made.
 
-    A block is rebound (and its edit generation stamped, per the
-    invalidation contract) only when rewriting actually changed an
-    instruction — an untouched block keeps its decoded/compiled code.
+    A block's instruction list is rebound only when rewriting actually
+    changed an instruction; an untouched block keeps its list object.
     """
     changes = 0
     for block in function.blocks:
@@ -72,6 +71,7 @@ def fold_constants(function: Function) -> int:
                     changes += 1
                     block_changed = True
                 else:
+                    _invalidate_copies_of(copies, instr.dst)
                     copies[instr.dst] = source
                     known.pop(instr.dst, None)
                     if source != instr.src:
@@ -134,7 +134,6 @@ def fold_constants(function: Function) -> int:
             rewritten.append(instr)
         if block_changed:
             block.instrs = rewritten
-            block.note_edit()
     return changes
 
 
@@ -180,49 +179,30 @@ def merge_blocks(function: Function) -> int:
             block.instrs = block.instrs[:-1] + tblock.instrs
             function.blocks.remove(tblock)
             function.invalidate_index()
-            block.note_edit()
             merges += 1
             merged = True
             break
         if not merged:
             break
-    if merges and function.assign_call_sites():
-        for block in function.blocks:
-            if any(i.kind in (Kind.CALL, Kind.ICALL) for i in block.instrs):
-                block.note_edit()
+    if merges:
+        function.assign_call_sites()
     return merges
 
 
 def remove_unreachable_blocks(function: Function) -> int:
     """Drop blocks unreachable from the entry; returns blocks removed.
 
-    When a removed block contained a call, the surviving call sites
-    renumber — and compiled block closures bake ``Call.site`` in, so
-    every surviving block with a call is stamped with a fresh edit
-    generation (the invalidation contract; relying on the incidental
-    address shift of later blocks is not enough for a block whose
-    address happens to stay put).
+    The surviving call sites renumber when a removed block contained a
+    call.
     """
     cfg = build_cfg(function)
     reachable: Set[str] = set(depth_first_order(cfg))
     keep = [b for b in function.blocks if b.name in reachable]
-    dropped = [b for b in function.blocks if b.name not in reachable]
-    removed = len(dropped)
+    removed = len(function.blocks) - len(keep)
     if removed:
-        sites_shift = any(
-            i.kind in (Kind.CALL, Kind.ICALL)
-            for b in dropped
-            for i in b.instrs
-        )
         function.blocks = keep
         function.invalidate_index()
         function.assign_call_sites()
-        if sites_shift:
-            for block in function.blocks:
-                if any(
-                    i.kind in (Kind.CALL, Kind.ICALL) for i in block.instrs
-                ):
-                    block.note_edit()
     return removed
 
 

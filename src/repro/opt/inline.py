@@ -215,18 +215,14 @@ def inline_call(
     head.append(Br(name_map[callee.entry.name]))
     cont = Block(cont_name, block.instrs[index + 1 :])
     block.instrs = head
-    block.note_edit()
 
     position = caller.blocks.index(block)
     caller.blocks[position + 1 : position + 1] = [cont] + clones
     caller.invalidate_index()
 
-    # Sites renumber across the whole caller (the inlined call vanished
-    # and trailing calls moved): every block's decoded code may bake a
-    # stale ``Call.site``, so stamp them all.
+    # Sites renumber across the whole caller: the inlined call vanished
+    # and trailing calls moved.
     caller.assign_call_sites()
-    for stale in caller.blocks:
-        stale.note_edit()
     validate_function(caller, program)
     return InlineResult(
         caller=caller.name,

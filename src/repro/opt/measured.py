@@ -284,40 +284,6 @@ class MeasuredProfile:
                 heat[block] = heat.get(block, 0) + freq
         return heat
 
-    def block_attribution(
-        self, program: Program, function: str, metric: int = 1
-    ) -> Dict[str, float]:
-        """Approximate per-block share of one accumulated path metric.
-
-        A path's metric is measured for the whole path; it is spread
-        over the path's blocks proportionally to each block's
-        icost-weighted size, which is the best flow-sensitive
-        attribution available without per-block counters.
-        """
-        mfp = self.functions.get(function)
-        target = program.functions.get(function)
-        shares: Dict[str, float] = {}
-        if mfp is None or target is None:
-            return shares
-        sizes = {
-            b.name: sum(i.icost for i in b.instrs) for b in target.blocks
-        }
-        for path_sum, values in mfp.metrics.items():
-            if len(values) <= metric:
-                continue
-            blocks = [
-                b for b in mfp.decode(path_sum).blocks if sizes.get(b, 0) > 0
-            ]
-            total = sum(sizes[b] for b in blocks)
-            if not total:
-                continue
-            for block in blocks:
-                shares[block] = (
-                    shares.get(block, 0.0)
-                    + values[metric] * sizes[block] / total
-                )
-        return shares
-
 
 def _edges_from_cct(root, by_site: bool = True) -> Tuple[CallEdge, ...]:
     """Aggregate (caller, site, callee) edges over the CCT's tree edges.

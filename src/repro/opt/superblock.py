@@ -123,7 +123,6 @@ def form_superblock_from_path(
         if block.name == header_clone:
             continue
         _retarget(block.instrs[-1], header, header_clone)
-        block.note_edit()
 
     # 3. Straighten: merge clone pairs linked by unconditional jumps.
     jumps_straightened = 0
@@ -135,7 +134,6 @@ def form_superblock_from_path(
         if term.kind == Kind.BR and term.target == chain[position + 1]:
             follower = function.block(chain[position + 1])
             current.instrs = current.instrs[:-1] + follower.instrs
-            current.note_edit()
             function.blocks.remove(follower)
             function.invalidate_index()
             removed = chain.pop(position + 1)
@@ -147,11 +145,7 @@ def form_superblock_from_path(
             position += 1
 
     function.invalidate_index()
-    if function.assign_call_sites():
-        # Sites renumbered: decoded blocks bake ``Call.site`` into their
-        # compiled closures, so every block with a call must be evicted.
-        for block in function.blocks:
-            block.note_edit()
+    function.assign_call_sites()
     validate_function(function)
     return SuperblockResult(
         function=function.name,

@@ -121,9 +121,6 @@ class PathNumbering:
         """NP(ENTRY): the number of distinct profiled paths."""
         return self.np[self.graph.entry]
 
-    def edge_value(self, tedge: TEdge) -> int:
-        return self.val[tedge.index]
-
     def pseudo_values(self, backedge: Edge) -> Tuple[int, int]:
         """(START, END) = (Val(ENTRY->w), Val(v->EXIT)) for a backedge."""
         start, end = self.graph.pseudo_for_backedge[backedge.index]

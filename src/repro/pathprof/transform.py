@@ -36,10 +36,6 @@ class TEdge:
     role: str
     origin: Edge
 
-    @property
-    def is_pseudo(self) -> bool:
-        return self.role != "real"
-
     def __repr__(self) -> str:
         tag = "" if self.role == "real" else f"[{self.role}]"
         return f"TEdge({self.src}->{self.dst}{tag})"

@@ -76,12 +76,6 @@ class HotPathReport:
     cold: Bucket
     classified: List[ClassifiedPath] = field(repr=False, default_factory=list)
 
-    @property
-    def average_miss_ratio(self) -> float:
-        if not self.total_instructions:
-            return 0.0
-        return self.total_misses / self.total_instructions
-
     def hot_paths(self) -> List[ClassifiedPath]:
         return [c for c in self.classified if c.is_hot]
 

@@ -61,9 +61,6 @@ class HotProcReport:
     sparse: ProcBucket = field(default_factory=ProcBucket)
     cold: ProcBucket = field(default_factory=ProcBucket)
 
-    def hot_procedures(self) -> List[ProcEntry]:
-        return [e for e in self.entries if e.klass is not PathClass.COLD]
-
     def row(self) -> Dict[str, object]:
         tm = self.total_misses
         return {

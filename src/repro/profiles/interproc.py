@@ -43,10 +43,6 @@ class StitchStep:
 class StitchedPath:
     steps: List[StitchStep] = field(default_factory=list)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(step.exact for step in self.steps)
-
     def describe(self) -> str:
         lines = []
         for step in self.steps:

@@ -95,12 +95,12 @@ class ProfileRun:
 class Instrumented:
     """An instrumented clone plus everything needed to attach a run.
 
-    ``program`` is shared by every run built from this bundle (so the
-    fast engine's per-block compiled-source cache stays warm across
-    passes); ``path_runtime`` is the *pristine* post-instrumentation
-    profiling runtime.  :meth:`runtimes` materializes the per-run
-    state: the pipeline's single run uses the pristine tables
-    directly, repeated benchmark passes ask for ``fresh=True`` copies.
+    ``program`` is instrumented once and shared by every run built
+    from this bundle; ``path_runtime`` is the *pristine*
+    post-instrumentation profiling runtime.  :meth:`runtimes`
+    materializes the per-run state: the pipeline's single run uses the
+    pristine tables directly, repeated benchmark passes ask for
+    ``fresh=True`` copies.
     """
 
     spec: ProfileSpec

@@ -27,7 +27,7 @@ Three independent facilities live here:
   modes (flow+HW, context+HW, combined flow+context).  Each measurement
   asserts both engines agree bit-for-bit on every counter, the return
   value, and per-region miss attribution before reporting a speedup,
-  and folds each machine's decode-cache statistics into the per-pass
+  and folds each machine's codegen statistics into the per-pass
   payload entries; the results back
   ``BENCH_vm_speed.json`` and ``BENCH_instrumented_speed.json`` at the
   repository root.
@@ -37,11 +37,12 @@ mode and reuses the instrumented program across every timed pass,
 attaching fresh (but identically shaped) runtime state per run: a
 ``copy.deepcopy`` of the pristine post-instrumentation
 :class:`~repro.instrument.tables.ProfilingRuntime` and/or a new
-:class:`~repro.cct.runtime.CCTRuntime` at the same base address.  The
-fast engine's compiled-source cache keys on table geometry *values*,
-not runtime identity, so warm passes genuinely reuse compiled blocks —
-the regime every real experiment runs in.  Runtime construction and
-machine setup happen outside the timed window; only simulation time is
+:class:`~repro.cct.runtime.CCTRuntime` at the same base address.
+Generated segment source bakes in table geometry *values*, not
+runtime identity, so warm passes take every block's code object from
+the process-wide compile cache — the regime every real experiment runs
+in.  Runtime construction and machine setup happen outside the timed
+window; only simulation time (which includes each run's decode) is
 reported.
 """
 
@@ -188,8 +189,8 @@ def prepare_instrumented(program, mode: str):
     :class:`~repro.session.ProfileSpec` for ``mode`` and asks a
     :class:`~repro.session.ProfileSession` to instrument.  Returns
     ``(target, fresh)`` where ``target`` is the instrumented program
-    (shared by every pass, so the fast engine's per-block
-    compiled-source cache stays warm) and ``fresh()`` builds a new
+    (shared by every pass, so its block shapes stay in the process-wide
+    compile cache) and ``fresh()`` builds a new
     ``(path_runtime, cct_runtime)`` pair for one run: empty counters,
     identical table geometry and base addresses.
     """
@@ -199,17 +200,10 @@ def prepare_instrumented(program, mode: str):
     return instrumented.program, lambda: instrumented.runtimes(fresh=True)
 
 
-#: ``Machine.codegen_stats`` keys folded into bench payloads — the
-#: decode-cache observability satellite: a warm pass whose
-#: ``source_cache_hits`` do not dominate is re-compiling blocks it
-#: should be reusing, and ``source_cache_misses - compile_cache_hits``
-#: is the number of ``compile()`` calls a pass made.
-CODEGEN_STAT_KEYS = (
-    "decoded_blocks",
-    "source_cache_hits",
-    "source_cache_misses",
-    "compile_cache_hits",
-)
+#: ``Machine.codegen_stats`` keys folded into bench payloads:
+#: ``decoded_blocks - compile_cache_hits`` is the number of
+#: ``compile()`` calls a pass made, which a warm pass keeps at 0.
+CODEGEN_STAT_KEYS = ("decoded_blocks", "compile_cache_hits")
 
 def _suite_pass(machines) -> Tuple[int, float, list, Dict[str, int]]:
     """Run prepared ``(name, machine)`` pairs; time only ``run()``.

@@ -730,6 +730,8 @@ def shard_run(
     if workdir is None:
         cleanup = tempfile.TemporaryDirectory(prefix="repro-shards-")
         workdir = cleanup.name
+    else:
+        os.makedirs(workdir, exist_ok=True)
     try:
         # Stale checkpoints from a previous run in the same directory
         # would let a crashed worker masquerade as a completed one —

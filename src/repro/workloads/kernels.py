@@ -213,14 +213,3 @@ def emit_dispatch_tree(
     subtree(f"{label}_{0}_{width}", 0, width)
 
 
-def counted_loop(fb: FunctionBuilder, name: str, counter: int, limit: int,
-                 scratch: int, body: str, done: str) -> None:
-    """Emit the ``head`` block of a counted loop; caller emits the body.
-
-    Layout: ``name`` tests ``counter < limit`` and branches to ``body``
-    or ``done``.  The body must increment the counter and branch back
-    to ``name``.
-    """
-    fb.block(name)
-    fb.binop("lt", counter, limit, dst=scratch)
-    fb.cbr(scratch, body, done)

@@ -113,13 +113,16 @@ out:
 ARG = 40
 
 
-def _code(block):
-    """The code object the fast engine compiled for ``block``."""
-    return block._decode_cache[2]
+def _sources(machine):
+    """``(function, block) -> generated source`` of every block the
+    machine's last run decoded."""
+    return {key: decoded.source for key, decoded in machine._decoded.items()}
 
 
-def _source(block):
-    return block._decode_cache[1]
+def _compiles(machine):
+    """The ``compile()`` calls the machine's decodes made."""
+    stats = machine.codegen_stats
+    return stats["decoded_blocks"] - stats["compile_cache_hits"]
 
 
 @pytest.fixture(autouse=True)
@@ -139,23 +142,16 @@ class TestIdenticalBodies:
         functions = fast_run.program.functions
         f_blocks, g_blocks = functions["f"].blocks, functions["g"].blocks
         assert len(f_blocks) == len(g_blocks)
+        sources = _sources(fast_run.machine)
         for f_block, g_block in zip(f_blocks, g_blocks):
-            assert _source(f_block) == _source(g_block)
-            assert _code(f_block) is _code(g_block)
+            assert sources["f", f_block.name] == sources["g", g_block.name]
 
         # Exactly one compile() per distinct source text.
-        decoded = [
-            block
-            for function in functions.values()
-            for block in function.blocks
-            if block._decode_cache is not None
-        ]
-        distinct = {_source(block) for block in decoded}
+        distinct = set(sources.values())
         info = engine._compile_block.cache_info()
         assert info.misses == len(distinct)
-        stats = fast_run.machine.codegen_stats
-        assert stats["compile_cache_hits"] >= len(g_blocks)
-        assert stats["compile_cache_hits"] == stats["source_cache_misses"] - len(distinct)
+        assert fast_run.machine.codegen_stats["compile_cache_hits"] >= len(g_blocks)
+        assert _compiles(fast_run.machine) == len(distinct)
 
 
 #: Each variant changes one constant the generated source bakes in.
@@ -178,13 +174,13 @@ VARIANTS = {
 
 class TestConfigConstants:
     def test_interleaved_configs_never_share_baked_code(self):
-        codes = {}
         sources = {}
         for round_ in range(2):
             for label, overrides in VARIANTS.items():
                 config = dataclasses.replace(MachineConfig(), **overrides)
-                program = parse_program(TWINS)
-                fast = Machine(program, dataclasses.replace(config), engine="fast")
+                fast = Machine(
+                    parse_program(TWINS), dataclasses.replace(config), engine="fast"
+                )
                 fast_result = fast.run(ARG)
                 simple = Machine(
                     parse_program(TWINS), dataclasses.replace(config), engine="simple"
@@ -193,50 +189,38 @@ class TestConfigConstants:
                 assert fast_result.counters == simple_result.counters, label
                 assert fast_result.return_value == simple_result.return_value, label
                 assert fast_result.region_misses == simple_result.region_misses, label
-                blocks = {
-                    (function.name, block.name): block
-                    for function in program.functions.values()
-                    for block in function.blocks
-                }
                 if round_ == 0:
-                    codes[label] = {key: _code(b) for key, b in blocks.items()}
-                    sources[label] = {key: _source(b) for key, b in blocks.items()}
+                    sources[label] = _sources(fast)
                 else:
-                    # A later machine with the same config reuses the code.
-                    for key, block in blocks.items():
-                        assert _code(block) is codes[label][key], (label, key)
+                    # A later machine with the same config generates the
+                    # same source and reuses its code.
+                    assert _sources(fast) == sources[label], label
+                    assert _compiles(fast) == 0, label
 
         for label in VARIANTS:
             if label == "default":
                 continue
             baked = [
                 key
-                for key in codes[label]
+                for key in sources[label]
                 if sources[label][key] != sources["default"][key]
             ]
             assert baked, f"{label} is not baked into any generated source"
-            for key in codes[label]:
-                shared = codes[label][key] is codes["default"][key]
-                assert shared == (key not in baked), (label, key)
 
     def test_write_allocate_is_baked_only_into_the_call_form(self):
         """The inline D-cache form leaves write-allocate to its miss
         call; the call form of a set-associative D-cache passes the
         flag to ``access`` as a literal."""
 
-        def compiled(**overrides):
-            program = parse_program(TWINS)
-            Machine(program, MachineConfig(**overrides), engine="fast").run(ARG)
-            return {
-                (function.name, block.name): _code(block)
-                for function in program.functions.values()
-                for block in function.blocks
-            }
+        def generated(**overrides):
+            machine = Machine(parse_program(TWINS), MachineConfig(**overrides), engine="fast")
+            machine.run(ARG)
+            return _sources(machine)
 
-        assert compiled() == compiled(dcache_write_allocate=True)
-        plain = compiled(dcache_assoc=2)
-        allocating = compiled(dcache_assoc=2, dcache_write_allocate=True)
-        split = [key for key in plain if plain[key] is not allocating[key]]
+        assert generated() == generated(dcache_write_allocate=True)
+        plain = generated(dcache_assoc=2)
+        allocating = generated(dcache_assoc=2, dcache_write_allocate=True)
+        split = [key for key in plain if plain[key] != allocating[key]]
         assert ("f", "odd") in split and ("g", "left") in split
         assert ("f", "loop") not in split
 
@@ -361,30 +345,29 @@ def _path_twins() -> Program:
 
 
 class TestOperandValuesAreParameters:
-    def _assert_twins_share_code(self, program):
-        (f_block,) = program.functions["f"].blocks
-        (g_block,) = program.functions["g"].blocks
-        assert _source(f_block) == _source(g_block)
-        assert _code(f_block) is _code(g_block)
+    def _assert_twins_share_code(self, machine):
+        sources = _sources(machine)
+        assert sources["f", "entry"] == sources["g", "entry"]
+        assert _compiles(machine) == len(set(sources.values()))
 
     def test_blocks_differing_only_in_immediates_compile_once(self):
-        program = parse_program(IMMEDIATE_TWINS)
-        fast = Machine(program, engine="fast").run(ARG)
+        machine = Machine(parse_program(IMMEDIATE_TWINS), engine="fast")
+        fast = machine.run(ARG)
         simple = Machine(parse_program(IMMEDIATE_TWINS), engine="simple").run(ARG)
         assert fast.counters == simple.counters
         assert fast.return_value == simple.return_value == (ARG + 7 + 11 + 3) + (
             ARG + 9 + 13 + 4
         )
-        self._assert_twins_share_code(program)
+        self._assert_twins_share_code(machine)
 
     def test_blocks_differing_only_in_path_increments_compile_once(self):
-        program = _path_twins()
-        fast = Machine(program, engine="fast").run()
+        machine = Machine(_path_twins(), engine="fast")
+        fast = machine.run()
         simple = Machine(_path_twins(), engine="simple").run()
         assert fast.counters == simple.counters
         # f: 0 + 3, layer 3 % 2 = 1 adds 6; g: 0 + 5, layer 1 adds 10.
         assert fast.return_value == simple.return_value == (3 + 6) + (5 + 10)
-        self._assert_twins_share_code(program)
+        self._assert_twins_share_code(machine)
 
 
 #: Floats that compare equal but differ (the zeros), or that have no

@@ -25,6 +25,7 @@ import dataclasses
 import pytest
 
 from repro.cct.merge import strict_form
+from repro.edit.layout import assign_layout
 from repro.instrument.cctinstr import instrument_context
 from repro.instrument.pathinstr import instrument_paths
 from repro.ir.asm import parse_program
@@ -284,6 +285,8 @@ def test_closure_handlers_only_change_frames(monkeypatch):
             inst = pp.session.instrument(pp.spec(mode, **overrides), program)
             machine = Machine(inst.program, engine="fast")
             machine.path_runtime, machine.cct_runtime = inst.runtimes()
+            # Lay the program out as Machine.run does before decoding.
+            machine.layout = assign_layout(inst.program)
             for function in inst.program.functions.values():
                 for block in function.blocks:
                     machine._decoded_block(function, block.name)

@@ -47,12 +47,7 @@ SCALE = 0.1
 
 
 def _sources(run):
-    return [
-        block._decode_cache[1]
-        for function in run.program.functions.values()
-        for block in function.blocks
-        if block._decode_cache is not None
-    ]
+    return [decoded.source for decoded in run.machine._decoded.values()]
 
 
 @pytest.mark.parametrize("label", sorted(CONFIGS))
@@ -102,9 +97,8 @@ def test_stub_set_before_run_takes_the_call_form(component):
     stub_expected = _run(parse_program(TWINS), "simple", component)
     assert stub_expected.return_value == expected.return_value == 2 * ARG
     assert stub_expected.counters != expected.counters
-    # A clone carries the decodings of the program it was cloned from,
-    # so each run below starts with the other form's code cached on
-    # every block: default, then the stub, then default again.
+    # Clones of one program alternate between the forms: default, then
+    # the stub, then default again.  Each run decodes its clone afresh.
     program = parse_program(TWINS)
     for stubbed in (False, True, False):
         program = program.clone()

@@ -293,19 +293,6 @@ class TestClone:
         original = compile_corpus(corpus_name)
         _assert_clone_runs_like(original, original.clone())
 
-    def test_clone_keeps_decode_cache_and_edit_generation(self):
-        original = parse_program(EDITABLE)
-        Machine(original, engine="fast").run(1)
-        clone = original.clone()
-        for name, function in original.functions.items():
-            for block, copied in zip(function.blocks, clone.functions[name].blocks):
-                assert copied is not block
-                assert copied.edit_gen == block.edit_gen
-                assert copied._decode_cache is block._decode_cache
-        machine = Machine(clone, engine="fast")
-        machine.run(1)
-        assert machine.codegen_stats["source_cache_misses"] == 0
-
     @pytest.mark.parametrize(
         "edit",
         [
@@ -332,14 +319,12 @@ class TestClone:
             yes.instrs[0].args.append(Imm(9))
         elif edit == "splice_instrs":
             entry.instrs[1:1] = [Const(2, 5)]
-            entry.note_edit()
         elif edit == "add_block":
             main.add_block(Block("extra", [Ret(None)]))
         else:
             clone.function_table.append("main")
         assert _snapshot(clone) != before
         assert _snapshot(original) == before
-        assert original.functions["main"].block("entry").edit_gen == 0
 
     def test_shared_instruction_stays_shared(self):
         shared = Const(1, 7)
@@ -369,7 +354,7 @@ class TestClone:
         assert Function.__slots__ == (
             "name", "num_params", "num_regs", "blocks", "_block_index",
         )
-        assert Block.__slots__ == ("name", "instrs", "edit_gen", "_decode_cache")
+        assert Block.__slots__ == ("name", "instrs")
 
 
 def _instruction_classes(cls=ir.Instruction):

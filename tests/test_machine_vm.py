@@ -605,9 +605,8 @@ class TestEngineDispatch:
         assert seen["fast"] == seen["simple"]
 
     def test_run_survives_block_splicing(self):
-        # Editing a block between runs must evict its cached decoding:
-        # the second run has to see the spliced instructions, not the
-        # stale predecoded segments from the first run.
+        # Editing a block between runs: the second run has to see the
+        # spliced instructions, not the first run's decoded segments.
         program = parse_program(self.ASM)
         machine = Machine(program, engine="fast")
         first = machine.run()
@@ -617,6 +616,5 @@ class TestEngineDispatch:
 
         done = program.functions["main"].block("done")
         done.instrs.insert(0, Const(0, 99))
-        machine.invalidate_decoded()
         second = machine.run()
         assert second.return_value == 99

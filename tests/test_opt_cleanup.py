@@ -112,6 +112,21 @@ class TestConstantFolding:
         fold_constants(program.functions["main"])
         assert Machine(program).run().return_value == 3
 
+    def test_copy_source_redefined_by_unknown_move(self):
+        program = parse_program(
+            """
+            func main(2) regs=8 {
+            entry:
+                mov r2, r0
+                mov r0, r1
+                add r3, r2, 0
+                ret r3
+            }
+            """
+        )
+        fold_constants(program.functions["main"])
+        assert Machine(program).run(3, 4).return_value == 3
+
     def test_float_values_not_folded_through_int_ops(self):
         program = parse_program(
             """
@@ -189,6 +204,27 @@ class TestCleanupPreservesSemantics:
         cleanup_program(program)
         optimized = Machine(program).run()
         assert optimized.return_value == reference.return_value
+        assert optimized[Event.INSTRS] <= reference[Event.INSTRS]
+
+    def test_parameter_reassigned_after_copy(self):
+        from repro.lang import compile_source
+
+        program = compile_source(
+            "global data[256];\n"
+            "fn f(a) {\n"
+            "    var x = a;\n"
+            "    a = data[0];\n"
+            "    return x & 65535;\n"
+            "}\n"
+            "fn main() {\n"
+            "    return f(1);\n"
+            "}\n"
+        )
+        reference = Machine(clone_program(program)).run()
+        cleanup_program(program)
+        optimized = Machine(program).run()
+        assert reference.return_value == 1
+        assert optimized.return_value == 1
         assert optimized[Event.INSTRS] <= reference[Event.INSTRS]
 
     @given(programs())
@@ -295,7 +331,7 @@ class TestMergeBlocks:
                 merged,
             )
 
-    def test_merge_stamps_only_touched_blocks(self):
+    def test_merge_rebinds_only_the_absorbing_block(self):
         program = parse_program(
             """
             func main(1) regs=8 {
@@ -313,18 +349,17 @@ class TestMergeBlocks:
             """
         )
         main = program.functions["main"]
-        before = {b.name: b.edit_gen for b in main.blocks}
+        before = {b.name: b.instrs for b in main.blocks}
         assert merge_blocks(main) == 1
         assert not any(b.name == "tail" for b in main.blocks)
-        left = main.block("left")
-        assert left.edit_gen != before["left"]
-        # No calls anywhere: the untouched blocks keep their stamps.
-        assert main.block("entry").edit_gen == before["entry"]
-        assert main.block("right").edit_gen == before["right"]
+        assert main.block("left").instrs is not before["left"]
+        # The untouched blocks keep their instruction lists.
+        assert main.block("entry").instrs is before["entry"]
+        assert main.block("right").instrs is before["right"]
         assert Machine(clone_program(program)).run(1).return_value == 3
         assert Machine(clone_program(program)).run(0).return_value == 9
 
-    def test_merge_restamps_surviving_call_blocks(self):
+    def test_merge_renumbers_surviving_call_sites(self):
         program = parse_program(
             """
             func main(0) regs=8 {
@@ -343,11 +378,9 @@ class TestMergeBlocks:
             """
         )
         main = program.functions["main"]
-        before = main.block("entry").edit_gen
+        before = main.block("entry").instrs
         assert merge_blocks(main) == 1
-        # The merged block holds renumbered call sites: compiled code
-        # baking the old Call.site numbering must be evicted.
-        assert main.block("entry").edit_gen != before
+        assert main.block("entry").instrs is not before
         sites = [c.site for c in main.call_sites()]
         assert sites == [0, 1]
         assert Machine(program).run().return_value == 14
