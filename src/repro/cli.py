@@ -4,15 +4,12 @@ Commands:
 
 * ``run FILE [ARGS...]`` — execute a program, print result and counters;
 * ``profile FILE`` — the unified driver: any :data:`repro.session.MODES`
-  configuration through the one ``ProfileSession`` pipeline, with
-  ``--log`` appending structured phase events (clone/instrument/decode/
-  run/collect, wall-time each) as JSONL;
-* ``flow FILE`` — flow-sensitive profile: hot paths with HW metrics
-  (``profile --mode flow``);
-* ``context FILE`` — context-sensitive profile: the CCT with metrics
-  (``profile --mode context``);
-* ``combined FILE`` — flow+context; optionally save the CCT
-  (``profile --mode combined``);
+  configuration through the one ``ProfileSession`` pipeline
+  (``--mode flow``: hot paths with HW metrics; ``--mode context``: the
+  CCT with metrics; ``--mode combined``: paths per calling context,
+  optionally saving the CCT), with ``--log`` appending structured
+  phase events (clone/instrument/machine/run/collect, wall-time each)
+  as JSONL;
 * ``coverage FILE`` — path coverage with untested paths;
 * ``shard-run FILE`` — split an input set across forked workers and
   merge the per-shard profiles into one aggregate; checkpoints, a run
@@ -36,31 +33,62 @@ Commands:
 ``FILE`` ending in ``.asm`` is parsed as IR assembly; anything else is
 compiled as mini-language source.  Program arguments are integers
 passed to ``main``.
+
+A usage error (an unknown verb or flag, a non-integer argument) is one
+``error:`` line on stderr and exit code 2; a failure the command meets
+(a malformed program, an unreadable program file, an unwritable
+``--log`` or ``--store`` path, a simulated fault) is one ``error:``
+line and exit code 1, except that ``diff``, ``ci`` and ``optimize``
+exit 2 on store errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.machine.counters import Event
 from repro.reporting import format_table
+
+
+class ProgramFileError(Exception):
+    """A program file named on the command line cannot be read."""
+
+
+def _read_program(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ProgramFileError(
+            f"cannot read program {path}: {exc.strerror or exc}"
+        ) from None
 
 
 def _load_program(path: str):
     from repro.ir.asm import parse_program
     from repro.lang import compile_source
 
-    with open(path) as handle:
-        text = handle.read()
+    text = _read_program(path)
     if path.endswith(".asm"):
         return parse_program(text)
     return compile_source(text)
 
 
-def _int_args(values: List[str]) -> List[int]:
-    return [int(v) for v in values]
+def _int_tuple(raw: str) -> Tuple[int, ...]:
+    """``"1,2"`` or ``"1 2"`` -> ``(1, 2)``: one run's arguments."""
+    try:
+        return tuple(int(v) for v in raw.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a list of integers: {raw!r}"
+        ) from None
+
+
+def _input_sets(raw: str) -> List[Tuple[int, ...]]:
+    """``"1,2;3,4;5"`` -> ``[(1, 2), (3, 4), (5,)]`` (``;`` separates runs)."""
+    return [_int_tuple(chunk) for chunk in raw.split(";")]
 
 
 def cmd_run(args) -> int:
@@ -68,7 +96,7 @@ def cmd_run(args) -> int:
 
     program = _load_program(args.file)
     machine = Machine(program)
-    result = machine.run(*_int_args(args.args))
+    result = machine.run(*args.args)
     print(f"result: {result.return_value}")
     rows = [
         {"Event": event.name, "Count": result[event]}
@@ -207,10 +235,10 @@ def _report_context(run, args) -> int:
     from repro.cct.stats import cct_statistics
     from repro.render import render_cct_ascii, render_cct_dot
 
-    if getattr(args, "dot", False):
+    if args.dot:
         print(render_cct_dot(run.cct.root, metric=1))
         return 0
-    if getattr(args, "tree", False):
+    if args.tree:
         print(render_cct_ascii(run.cct.root, metric=1))
         return 0
     rows = []
@@ -257,7 +285,7 @@ def _report_combined(run, args) -> int:
         f"\none-path call sites: {stats.call_sites_one_path} of "
         f"{stats.call_sites_used} used"
     )
-    if getattr(args, "save", None):
+    if args.save:
         save_cct(run.cct, args.save)
         print(f"CCT written to {args.save}")
     return 0
@@ -282,20 +310,20 @@ def _report_edges(run, args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """The unified driver: every per-mode verb funnels through here."""
+    """The unified driver: every profiling mode runs through here."""
     from dataclasses import replace
 
     mode = _PROFILE_MODES[args.mode]
     program = _load_program(args.file)
     session = _make_session(args)
     spec = _build_spec(mode, args)
-    run_args = _int_args(args.args)
+    run_args = args.args
     store = None
-    if getattr(args, "store", None):
+    if args.store:
         from repro.store import ProfileStore
 
         store = ProfileStore(args.store)
-    workload = getattr(args, "workload", None)
+    workload = args.workload
     if mode in ("flow_hw", "kflow"):
         base = session.run(
             replace(spec, mode="baseline", k=None), program, run_args
@@ -319,27 +347,12 @@ def cmd_profile(args) -> int:
     return status
 
 
-def cmd_flow(args) -> int:
-    args.mode = "flow"
-    return cmd_profile(args)
-
-
-def cmd_context(args) -> int:
-    args.mode = "context"
-    return cmd_profile(args)
-
-
-def cmd_combined(args) -> int:
-    args.mode = "combined"
-    return cmd_profile(args)
-
-
 def cmd_coverage(args) -> int:
     from repro.profiles.spectra import path_coverage, untested_paths
     from repro.tools.pp import PP
 
     program = _load_program(args.file)
-    run = PP().flow_freq(program, _int_args(args.args))
+    run = PP().flow_freq(program, args.args)
     report = path_coverage(run.path_profile)
     print(format_table(report.rows(), title="path coverage"))
     print(f"\noverall: {100 * report.fraction:.1f}%")
@@ -420,10 +433,8 @@ def cmd_diff(args) -> int:
 
     program = _load_program(args.file)
     pp = PP()
-    first = pp.flow_freq(program, _int_args(args.first.split(","))
-                         if args.first else ())
-    second = pp.flow_freq(program, _int_args(args.second.split(","))
-                          if args.second else ())
+    first = pp.flow_freq(program, args.first)
+    second = pp.flow_freq(program, args.second)
     diff = spectrum_diff(first.path_profile, second.path_profile)
     if diff.is_empty():
         print("spectra identical: both inputs drive the same paths")
@@ -560,10 +571,10 @@ def cmd_optimize(args) -> int:
     """
     from repro.opt import MeasuredProfileError, OptError
     from repro.session import PGOError, pgo_cycle
-    from repro.store import StoreError, Verdict
+    from repro.store import ProfileStore, StoreError, Verdict
 
     program = _load_program(args.file)
-    run_args = _int_args(args.args)
+    run_args = args.args
     session = _make_session(args)
 
     try:
@@ -572,17 +583,13 @@ def cmd_optimize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    store = None
-    if args.store:
-        from repro.store import ProfileStore
-
-        store = ProfileStore(args.store)
-    if args.run and store is None:
+    if args.run and not args.store:
         print("error: --run REF requires --store DIR", file=sys.stderr)
         return 2
 
     thresholds = _store_thresholds(args)
     try:
+        store = ProfileStore(args.store) if args.store else None
         if args.run:
             report = pgo_cycle(
                 program,
@@ -632,17 +639,6 @@ _SHARD_MODES = {
 }
 
 
-def _parse_input_sets(raw: str) -> list:
-    """``"1,2;3,4;5"`` -> ``[(1, 2), (3, 4), (5,)]`` (``;`` separates runs)."""
-    inputs = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        inputs.append(
-            tuple(int(v) for v in chunk.replace(",", " ").split()) if chunk else ()
-        )
-    return inputs
-
-
 def cmd_shard_run(args) -> int:
     from dataclasses import replace
 
@@ -662,13 +658,8 @@ def cmd_shard_run(args) -> int:
     else:
         if not args.file:
             raise SystemExit("shard-run: FILE required unless --resume is given")
-        with open(args.file) as handle:
-            text = handle.read()
-        inputs = (
-            _parse_input_sets(args.inputs)
-            if args.inputs is not None
-            else [tuple(_int_args(args.args))]
-        )
+        text = _read_program(args.file)
+        inputs = args.inputs if args.inputs is not None else [tuple(args.args)]
         spec = ShardSpec(
             source=None if args.file.endswith(".asm") else text,
             asm=text if args.file.endswith(".asm") else None,
@@ -825,8 +816,16 @@ def cmd_table(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2
+    (subparsers inherit the class)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro",
         description="Flow and context sensitive profiling (PLDI'97 reproduction)",
     )
@@ -835,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_program_command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="mini-language source or .asm file")
-        p.add_argument("args", nargs="*", help="integer arguments to main")
+        p.add_argument("args", nargs="*", type=int, help="integer arguments to main")
         p.add_argument("--limit", type=int, default=25, help="max rows printed")
         p.set_defaults(fn=fn)
         return p
@@ -885,24 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload id the stored run is keyed under "
         "(default: derived from the code fingerprint)",
     )
-    flow = add_program_command("flow", cmd_flow, "hot paths with HW metrics")
-    flow.add_argument("--threshold", type=float, default=0.01)
-    flow.add_argument(
-        "--placement", choices=["simple", "spanning_tree"], default="spanning_tree"
-    )
-    context = add_program_command("context", cmd_context, "calling context tree")
-    context.add_argument("--backedge-reads", action="store_true")
-    context.add_argument(
-        "--merge-sites",
-        action="store_true",
-        help="site-insensitive CCT (smaller, less precise; §4.1)",
-    )
-    context.add_argument("--tree", action="store_true", help="ASCII tree")
-    context.add_argument("--dot", action="store_true", help="Graphviz DOT")
-    combined = add_program_command(
-        "combined", cmd_combined, "paths per calling context"
-    )
-    combined.add_argument("--save", help="write the CCT to this file")
     add_program_command("coverage", cmd_coverage, "path coverage report")
     optimize = add_program_command(
         "optimize", cmd_optimize, "closed PGO loop: profile, optimize, re-measure"
@@ -985,10 +966,13 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "file", nargs="?", help="mini-language source or .asm file"
     )
-    shard.add_argument("args", nargs="*", help="single input: args to main")
+    shard.add_argument(
+        "args", nargs="*", type=int, help="single input: integer args to main"
+    )
     shard.add_argument("--shards", type=int, default=2, help="worker count")
     shard.add_argument(
         "--inputs",
+        type=_input_sets,
         help="input set: runs separated by ';', args by ',' (e.g. '1,2;3,4')",
     )
     shard.add_argument(
@@ -1068,8 +1052,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="candidate_ref",
         help="second stored ref: diff stored profiles instead of spectra",
     )
-    diff.add_argument("--first", default="", help="comma-separated args, run A")
-    diff.add_argument("--second", default="", help="comma-separated args, run B")
+    diff.add_argument(
+        "--first", type=_int_tuple, default="", help="comma-separated args, run A"
+    )
+    diff.add_argument(
+        "--second", type=_int_tuple, default="", help="comma-separated args, run B"
+    )
     add_store_flags(diff)
     diff.set_defaults(fn=cmd_diff)
 
@@ -1139,6 +1127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.machine.config import MachineConfigError
     from repro.machine.vm import MachineError
     from repro.session import ProfileSpecError
+    from repro.store import StoreError
+    from repro.tools.runlog import RunLogError
     from repro.tools.shard_runner import ShardCheckpointError, ShardRunError
 
     parser = build_parser()
@@ -1153,10 +1143,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         MachineConfigError,
         MachineError,
         ProfileSpecError,
+        ProgramFileError,
+        RunLogError,
         ShardCheckpointError,
         ShardRunError,
+        StoreError,
     ) as exc:
-        # Malformed programs, unsimulatable machine configs, simulated
+        # Malformed programs, unreadable program files, unwritable log
+        # and store paths, unsimulatable machine configs, simulated
         # faults (bad calls, exhausted budgets), corrupt dumps,
         # malformed specs, and exhausted shard retries are expected
         # operational conditions: one line naming the offence, not a

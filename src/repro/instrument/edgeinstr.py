@@ -17,7 +17,7 @@ comparison on our machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.cfg.graph import CFG, Edge, build_cfg
 from repro.edit.editor import FunctionEditor
@@ -25,6 +25,7 @@ from repro.instrument.tables import CounterTable, ProfilingRuntime, TableKind
 from repro.ir.function import Function, Program
 from repro.ir.instructions import EdgeCount
 from repro.pathprof.estimate import estimate_edge_frequencies
+from repro.pathprof.placement import max_spanning_tree
 
 
 @dataclass
@@ -100,7 +101,14 @@ def _instrument_function(
         tree: List[int] = []
         closing_in_tree = False
     else:
-        tree_edges, closing_in_tree = _max_spanning_tree(cfg)
+        weights = estimate_edge_frequencies(cfg)
+        tree_edges, closing_in_tree = max_spanning_tree(
+            cfg.vertices,
+            cfg.edges,
+            cfg.entry,
+            cfg.exit,
+            lambda edge: weights[edge.index],
+        )
         tree = [e.index for e in tree_edges]
         tree_set = set(tree)
         chords = [e for e in cfg.edges if e.index not in tree_set]
@@ -116,21 +124,6 @@ def _instrument_function(
     return EdgeFunctionInfo(
         function.name, cfg, table, [e.index for e in chords], tree, closing_in_tree
     )
-
-
-def _max_spanning_tree(cfg: CFG) -> Tuple[List[Edge], bool]:
-    """Kruskal on the undirected CFG plus the forced closing edge."""
-    from repro.pathprof.placement import _UnionFind
-
-    weights = estimate_edge_frequencies(cfg)
-    uf = _UnionFind(cfg.vertices)
-    closing_in_tree = uf.union(cfg.exit, cfg.entry)
-    ordered = sorted(cfg.edges, key=lambda e: (-weights[e.index], e.index))
-    tree: List[Edge] = []
-    for edge in ordered:
-        if uf.union(edge.src, edge.dst):
-            tree.append(edge)
-    return tree, closing_in_tree
 
 
 def reconstruct_edge_counts(

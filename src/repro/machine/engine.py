@@ -91,6 +91,14 @@ fire: within a segment the line sequence is static, and the one
 dynamic case (the first instruction executed after a control transfer)
 is checked against the machine's line state at every segment head.
 
+Decoding a block is one pass.  :class:`_SegmentWriter` binds each
+maker argument at the moment it emits the argument's name — constants,
+the closure handler, successor link cells, hook instructions and the
+objects fused probes use (PIC methods, tables and their dicts, the CCT
+runtime and its state, the per-site CCT slow-entry closure) — and
+:func:`decode_block` calls each segment's maker with the fixed
+arguments plus the objects its writer collected.
+
 Decoded blocks live for one run.  :meth:`Machine.run` lays the program
 out and empties the machine's ``(function, block)`` table at the start
 of every run, and a block is decoded when the run first reaches it, so
@@ -416,22 +424,23 @@ class _SegmentWriter:
     are bound under their own :meth:`const` role.
     """
 
-    def __init__(self, machine, fname: str, alloc_link: Callable[[], int]):
+    def __init__(self, machine, fname: str, links: List[list]):
         self.lines: List[str] = []
         self.machine = machine
         self.fname = fname
-        self.alloc_link = alloc_link
-        #: Per-segment maker parameters beyond the fixed ones, in
-        #: emission order: ("h", instr_index) the closure handler,
-        #: ("lk", n) successor-link cells, ("pb", spec) bind-time
-        #: objects (hook instructions, and the tables, PIC methods and
-        #: CCT state fused probes use), and ("c", value) block-specific
-        #: constants (see :meth:`const`).
-        self.extras: List[Tuple[str, object]] = []
-        #: The maker parameter name of each ``extras`` entry.
+        #: The block's successor-link cells, shared by all its segments
+        #: so ``_lk{n}`` numbers them block-wide.
+        self.links = links
+        #: Per-segment maker arguments beyond the fixed ones, in
+        #: emission order: the closure handler, successor-link cells,
+        #: bind-time objects (hook instructions, and the tables, PIC
+        #: methods and CCT state fused probes use; see :meth:`param`)
+        #: and block-specific constants (see :meth:`const`).
+        self.args: List[object] = []
+        #: The maker parameter name of each ``args`` entry.
         self.names: List[str] = []
-        #: spec -> generated parameter name, for per-segment dedup.
-        self._params: Dict[Tuple, str] = {}
+        #: key -> generated parameter name, for per-segment dedup.
+        self._params: Dict[object, str] = {}
         #: (type, value) -> generated constant name, likewise.
         self._consts: Dict[Tuple, str] = {}
         self.config = machine.config
@@ -455,17 +464,18 @@ class _SegmentWriter:
         self.prev_iline: Optional[int] = None
         self.cell_stale = False
 
-    def _bind(self, extra: Tuple[str, object], name: str) -> None:
-        self.extras.append(extra)
+    def _bind(self, value, name: str) -> None:
+        self.args.append(value)
         self.names.append(name)
 
-    def param(self, *spec) -> str:
-        """Parameter name for a bind-time object described by ``spec``."""
-        name = self._params.get(spec)
+    def param(self, key, value) -> str:
+        """Parameter name for the bind-time object ``value``, bound on
+        the first use of ``key`` and shared by later ones."""
+        name = self._params.get(key)
         if name is None:
             name = f"_pb{len(self._params)}"
-            self._params[spec] = name
-            self._bind(("pb", spec), name)
+            self._params[key] = name
+            self._bind(value, name)
         return name
 
     def const(self, value, role: str = "") -> str:
@@ -487,7 +497,7 @@ class _SegmentWriter:
         if name is None:
             name = f"_c{len(self._consts)}"
             self._consts[key] = name
-            self._bind(("c", value), name)
+            self._bind(value, name)
         return name
 
     def emit(self, line: str, indent: int = 2) -> None:
@@ -715,8 +725,10 @@ class _SegmentWriter:
         # Branch targets stay within the function, so the successor's
         # decoded block is returned directly (resolved lazily through a
         # per-site link cell) and the run loop skips the cache lookup.
-        n = self.alloc_link()
-        self._bind(("lk", n), f"_lk{n}")
+        n = len(self.links)
+        cell = [None]
+        self.links.append(cell)
+        self._bind(cell, f"_lk{n}")
         name = self.const(target)
         self.emit(f"frame.block_name = {name}", indent)
         self.emit("frame.index = 0", indent)
@@ -746,8 +758,9 @@ class _SegmentWriter:
         self._store_buffer_push(indent)
         self.emit(f"_mwr({addr}, {value})", indent)
 
-    def fuse(self, plan: Tuple, instr, index: int, addr: int, iline: int) -> None:
-        """Emit one instrumentation hook inline (plan from _fuse_plan).
+    def fuse(self, instr, table, index: int, addr: int, iline: int) -> None:
+        """Emit one instrumentation hook inline; ``table`` is the array
+        table :func:`_fuse_plan` found for a table hook, else None.
 
         Every fused body except ``CctCall`` observes counters (its
         profiling stores drain the store buffer; PIC accesses latch
@@ -756,47 +769,52 @@ class _SegmentWriter:
         ``CctCall`` touches no counter and batches straight through.
         """
         self.fetch(addr, iline, instr.icost)
-        op = plan[0]
-        if op != "cct_call":
+        kind = instr.kind
+        if kind != Kind.CCT_CALL:
             self.flush_costs()
-        if op == "commit":
-            self._fuse_commit(instr, plan[1])
-        elif op == "accum":
-            self._fuse_accum(instr, plan[1])
-        elif op == "k_cycle":
-            self._fuse_kcycle(instr, plan[1])
-        elif op == "k_exit":
-            self._fuse_kexit(instr, plan[1])
-        elif op == "edge":
-            self._fuse_edge(instr, plan[1])
-        elif op == "hwc_zero":
-            self.emit(f"{self.param('picz')}()")
-            self.emit(f"{self.param('picr')}()")
-        elif op == "hwc_save":
-            self.emit(f"_sv = {self.param('picr')}()")
+        if kind == Kind.PATH_COMMIT:
+            self._fuse_commit(instr, table)
+        elif kind == Kind.HWC_ACCUM:
+            self._fuse_accum(instr, table)
+        elif kind == Kind.K_HWC_CYCLE:
+            self._fuse_kcycle(instr, table)
+        elif kind == Kind.K_HWC_EXIT:
+            self._fuse_kexit(instr, table)
+        elif kind == Kind.EDGE_COUNT:
+            self._fuse_edge(instr, table)
+        elif kind == Kind.HWC_ZERO:
+            self.emit(f"{self._pic('write_zero')}()")
+            self.emit(f"{self._pic('read')}()")
+        elif kind == Kind.HWC_SAVE:
+            self.emit(f"_sv = {self._pic('read')}()")
             self.emit("frame.saved_pic = _sv")
             self.emit(f"_a = frame.base_addr + {(self.config.frame_words - 1) * WORD}")
             self.probe_write("_a", "_sv[0]")
-        elif op == "hwc_restore":
+        elif kind == Kind.HWC_RESTORE:
             self.emit(f"_a = frame.base_addr + {(self.config.frame_words - 1) * WORD}")
             self.probe_read("_a")
             self.emit("_sv = frame.saved_pic")
-            self.emit(f"{self.param('picw')}(_sv[0], _sv[1])")
-            self.emit(f"{self.param('picr')}()")
-        elif op == "cct_call":
-            rt = self.param("cct")
-            sh = self.param("cctsh")
-            slot = instr.slot if self.machine.cct_runtime.by_site else 0
+            self.emit(f"{self._pic('write_values')}(_sv[0], _sv[1])")
+            self.emit(f"{self._pic('read')}()")
+        elif kind == Kind.CCT_CALL:
+            runtime = self.machine.cct_runtime
+            rt = self.param("cct", runtime)
+            sh = self.param("cctsh", runtime.shadow)
+            slot = instr.slot if runtime.by_site else 0
             self.emit(
                 f"{rt}.gcsp = (({sh}[-1].record if {sh} else "
-                f"{self.param('cctroot')}), {self.const(slot)})"
+                f"{self.param('cctroot', runtime.root)}), {self.const(slot)})"
             )
-        elif op == "cct_enter":
+        elif kind == Kind.CCT_ENTER:
             self._fuse_cct_enter(instr, index)
-        elif op == "cct_exit":
+        elif kind == Kind.CCT_EXIT:
             self._fuse_cct_exit()
-        else:  # pragma: no cover - plans come from _fuse_plan
-            raise AssertionError(f"unknown fuse plan {plan!r}")
+        else:  # pragma: no cover - guarded by _fuse_plan
+            raise AssertionError(f"{kind!r} does not fuse")
+
+    def _pic(self, method: str) -> str:
+        """Parameter name of the PIC's bound ``method``."""
+        return self.param(method, getattr(self.machine.pic, method))
 
     def _bump(self, tc: str, index: str, addr: str, indent: int) -> None:
         """CounterTable.bump's in-range body: RMW traffic + dict update."""
@@ -806,31 +824,31 @@ class _SegmentWriter:
         self.emit(f"{tc}[{index}] = _v", indent)
 
     def _fuse_commit(self, instr, table) -> None:
-        tc = self.param("tblc", instr.table)
+        tc = self.param(("tblc", instr.table), table.counts)
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
-        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
+        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
         if instr.reset_to is not None:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
     def _fuse_accum(self, instr, table) -> None:
-        # Register the table params before ``picr``, in the order
-        # _accum_slots asks for them: ``picr`` first would rename them
-        # and change the source text.
-        self.param("tblc", instr.table)
-        self.param("tblm", instr.table)
-        pr = self.param("picr")
+        # Register the table params before the PIC read, in the order
+        # _accum_slots asks for them: the PIC read first would rename
+        # them and change the source text.
+        self.param(("tblc", instr.table), table.counts)
+        self.param(("tblm", instr.table), table.metrics)
+        pr = self._pic("read")
         self.emit(f"_p = {pr}()")
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
-        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
+        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
         if instr.rezero:
-            self.emit(f"{self.param('picz')}()")
+            self.emit(f"{self._pic('write_zero')}()")
             self.emit(f"{pr}()")
         if instr.reset_to is not None:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
@@ -839,8 +857,8 @@ class _SegmentWriter:
         """The in-range accumulate body with ``_i`` and ``_p`` already set,
         at ``indent`` so the k-iteration probes can nest it under their
         layer branch."""
-        tc = self.param("tblc", instr.table)
-        tm = self.param("tblm", instr.table)
+        tc = self.param(("tblc", instr.table), table.counts)
+        tm = self.param(("tblm", instr.table), table.metrics)
         self.emit(
             f"_a = {self.const(table.base)} + _i * {table.slot_words * WORD}", indent
         )
@@ -862,7 +880,7 @@ class _SegmentWriter:
         # Mirrors ProfilingRuntime.k_cycle exactly: layer test first, the
         # commit arm repeating the accumulate order (PIC read, index,
         # table update, rezero, packed restart).
-        pr = self.param("picr")
+        pr = self._pic("read")
         k = instr.k
         self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {k}")
@@ -874,15 +892,16 @@ class _SegmentWriter:
         self.emit(f"    if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 4)
         self.emit("    else:")
-        self.emit(f"        {self.param('tbl', instr.table)}.out_of_range += 1")
-        self.emit(f"    {self.param('picz')}()")
+        tbl = self.param(("tbl", instr.table), table)
+        self.emit(f"        {tbl}.out_of_range += 1")
+        self.emit(f"    {self._pic('write_zero')}()")
         self.emit(f"    {pr}()")
         self.emit(f"    regs[{instr.reg}] = {self.const(instr.start)}")
 
     def _fuse_kexit(self, instr, table) -> None:
         # Mirrors ProfilingRuntime.k_exit: layer-indexed end value, no
         # rezero, no reset.
-        pr = self.param("picr")
+        pr = self._pic("read")
         self.emit(f"_p = {pr}()")
         self.emit(f"_r = regs[{instr.reg}]")
         self.emit(f"_l = _r % {instr.k}")
@@ -890,7 +909,7 @@ class _SegmentWriter:
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
-        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
+        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
 
     def _fuse_edge(self, instr, table) -> None:
         # The edge index is a compile-time constant, so the range check
@@ -898,19 +917,27 @@ class _SegmentWriter:
         if 0 <= instr.edge < table.capacity:
             addr = table.base + instr.edge * table.slot_words * WORD
             self._bump(
-                self.param("tblc", instr.table),
+                self.param(("tblc", instr.table), table.counts),
                 self.const(instr.edge),
                 self.const(addr),
                 2,
             )
         else:
-            self.emit(f"{self.param('tbl', instr.table)}.out_of_range += 1")
+            self.emit(f"{self.param(('tbl', instr.table), table)}.out_of_range += 1")
 
     def _fuse_cct_enter(self, instr, index: int) -> None:
-        rt = self.param("cct")
-        sh = self.param("cctsh")
-        st = self.param("cctst")
-        collect_hw = self.machine.cct_runtime.collect_hw
+        machine = self.machine
+        runtime = machine.cct_runtime
+        rt = self.param("cct", runtime)
+        sh = self.param("cctsh", runtime.shadow)
+        st = self.param("cctst", runtime.stats)
+        proc, nslots = instr.proc, instr.nslots
+
+        def enter_slow(parent, slot_index, slot_addr, slot):
+            return runtime._enter_slow(
+                machine, parent, slot_index, slot_addr, slot, proc, nslots
+            )
+
         self.emit(f"{st}.enters += 1")
         self.emit(f"_g = {rt}.gcsp")
         self.emit("_pnt = _g[0]")
@@ -921,12 +948,13 @@ class _SegmentWriter:
         self.emit("    _c = _s")
         self.emit(f"    {st}.fast_hits += 1")
         self.emit("else:")
-        self.emit(f"    _c = {self.param('eslow', index)}(_pnt, _g[1], _a, _s)")
+        slow = self.param(("eslow", index), enter_slow)
+        self.emit(f"    _c = {slow}(_pnt, _g[1], _a, _s)")
         self.emit(f"_a = frame.base_addr + {GCSP_SLOT * WORD}")
         self.probe_write("_a", "0")
         self.emit("_e = _SE(machine.depth, _c, _g)")
-        if collect_hw:
-            self.emit(f"_p = {self.param('picr')}()")
+        if runtime.collect_hw:
+            self.emit(f"_p = {self._pic('read')}()")
             self.emit("_e.pic0 = _p[0]")
             self.emit("_e.pic1 = _p[1]")
             self.emit(f"counts[{_INSTRS}] += 3")
@@ -939,9 +967,9 @@ class _SegmentWriter:
         self.probe_write("_a", "_m[0]")
 
     def _fuse_cct_exit(self) -> None:
-        rt = self.param("cct")
-        sh = self.param("cctsh")
-        collect_hw = self.machine.cct_runtime.collect_hw
+        runtime = self.machine.cct_runtime
+        rt = self.param("cct", runtime)
+        sh = self.param("cctsh", runtime.shadow)
         self.emit(f"if not {sh}:")
         self.emit('    raise RuntimeError("CCT exit with empty shadow stack")')
         self.emit(f"_e = {sh}.pop()")
@@ -953,8 +981,8 @@ class _SegmentWriter:
         self.emit(f"_a = frame.base_addr + {GCSP_SLOT * WORD}")
         self.probe_read("_a")
         self.emit(f"{rt}.gcsp = _e.saved_gcsp")
-        if collect_hw:
-            self.emit(f"_p = {self.param('picr')}()")
+        if runtime.collect_hw:
+            self.emit(f"_p = {self._pic('read')}()")
             self.emit("_c = _e.record")
             self.emit(f"_a = _c.addr + {3 * WORD}")
             self.probe_read("_a")
@@ -974,7 +1002,7 @@ class _SegmentWriter:
         self.fetch(addr, iline, instr.icost)
         self.flush_costs()
         self.sync_cell()
-        self._bind(("h", index), "_h")
+        self._bind(_make_handler(self.machine, instr, index + 1, self.fname), "_h")
         self.emit("return _h(frame)")
 
     def hook_call(self, instr, index: int, addr: int, iline: int) -> None:
@@ -987,7 +1015,7 @@ class _SegmentWriter:
         self.fetch(addr, iline, instr.icost)
         self.flush_costs()
         self.sync_cell()
-        call = _HOOK_CALLS[instr.kind].format(self.param("instr", index))
+        call = _HOOK_CALLS[instr.kind].format(self.param(("instr", index), instr))
         self.emit(f"machine.{call}")
 
     def close(self) -> None:
@@ -1025,26 +1053,17 @@ _TABLE_KINDS = frozenset(
 #: rare, and its interval restart shares no structure with enter/exit).
 _CCT_FUSED_KINDS = frozenset({Kind.CCT_ENTER, Kind.CCT_CALL, Kind.CCT_EXIT})
 
-_TABLE_PLAN_OPS = {
-    Kind.PATH_COMMIT: "commit",
-    Kind.HWC_ACCUM: "accum",
-    Kind.EDGE_COUNT: "edge",
-    Kind.K_HWC_CYCLE: "k_cycle",
-    Kind.K_HWC_EXIT: "k_exit",
-}
-
 #: Table kinds whose fused body hard-codes two metric slots.
 _METRIC_TABLE_KINDS = frozenset({Kind.HWC_ACCUM, Kind.K_HWC_CYCLE, Kind.K_HWC_EXIT})
-_CCT_PLAN_OPS = {
-    Kind.CCT_ENTER: "cct_enter",
-    Kind.CCT_CALL: "cct_call",
-    Kind.CCT_EXIT: "cct_exit",
-}
+#: PIC hooks: always fused.
+_PIC_KINDS = frozenset({Kind.HWC_ZERO, Kind.HWC_SAVE, Kind.HWC_RESTORE})
 
 
 def _fuse_plan(machine, instr) -> Optional[Tuple]:
-    """How to fuse hook ``instr`` into generated source, or None when
-    segment code makes the runtime call instead (:meth:`_SegmentWriter.hook_call`).
+    """``(table,)`` when hook ``instr`` fuses into generated source —
+    ``table`` is the array table a table hook updates, None for PIC and
+    CCT hooks — or None when segment code makes the runtime call
+    instead (:meth:`_SegmentWriter.hook_call`).
 
     Array-table commits/accumulates/edge bumps fuse with their slot
     strides as literals; hash tables, per-context tables
@@ -1054,12 +1073,8 @@ def _fuse_plan(machine, instr) -> Optional[Tuple]:
     closure); ``CctProbe`` never does.
     """
     kind = instr.kind
-    if kind == Kind.HWC_ZERO:
-        return ("hwc_zero",)
-    if kind == Kind.HWC_SAVE:
-        return ("hwc_save",)
-    if kind == Kind.HWC_RESTORE:
-        return ("hwc_restore",)
+    if kind in _PIC_KINDS:
+        return (None,)
     if kind in _TABLE_KINDS:
         runtime = machine.path_runtime
         if runtime is None or not 0 <= instr.table < len(runtime.tables):
@@ -1069,11 +1084,9 @@ def _fuse_plan(machine, instr) -> Optional[Tuple]:
             return None
         if kind in _METRIC_TABLE_KINDS and table.metric_slots != 2:
             return None
-        return (_TABLE_PLAN_OPS[kind], table)
-    if kind in _CCT_FUSED_KINDS:
-        if machine.cct_runtime is None:
-            return None
-        return (_CCT_PLAN_OPS[kind],)
+        return (table,)
+    if kind in _CCT_FUSED_KINDS and machine.cct_runtime is not None:
+        return (None,)
     return None
 
 
@@ -1161,70 +1174,49 @@ def _model_bindings(machine) -> Tuple:
 
 
 def _generate_block(machine, fname: str, instrs, addrs):
-    """Produce ``(source, starts, seg_extras, n_links)`` for one block.
+    """Produce ``(source, [(start, args), ...])`` for one block: the
+    module source and, per segment, its first instruction index and the
+    objects its maker binds beyond the fixed arguments.
 
-    Block-specific constants are maker parameters (``seg_extras``), so
-    ``source`` depends only on the block's shape, the config constants
-    it bakes in, the model forms and the fused probes' geometry.
+    Block-specific constants are maker arguments, so ``source`` depends
+    only on the block's shape, the config constants it bakes in, the
+    model forms and the fused probes' geometry.
     """
     line_bits = machine._icache_line_bits
-
-    segments: List[Tuple[int, _SegmentWriter]] = []
-    writer: Optional[_SegmentWriter] = None
-    seg_start = 0
+    links: List[list] = []
+    writer: Optional[_SegmentWriter] = _SegmentWriter(machine, fname, links)
+    segments: List[Tuple[int, _SegmentWriter]] = [(0, writer)]
     seg_len = 0
-    n_links = 0
-
-    def alloc_link() -> int:
-        nonlocal n_links
-        n_links += 1
-        return n_links - 1
-
-    def begin(i: int) -> None:
-        nonlocal writer, seg_start, seg_len
-        writer = _SegmentWriter(machine, fname, alloc_link)
-        seg_start = i
-        seg_len = 0
-
-    def end() -> None:
-        nonlocal writer
-        if writer is not None:
-            segments.append((seg_start, writer))
-            writer = None
-
-    begin(0)
     for i, instr in enumerate(instrs):
+        if writer is None:
+            writer = _SegmentWriter(machine, fname, links)
+            segments.append((i, writer))
+            seg_len = 0
         addr = addrs[i]
         iline = addr >> line_bits
         kind = instr.kind
-        if writer is None:
-            begin(i)
         if kind in _INLINE_KINDS:
             writer.inline(instr, i, addr, iline)
         elif kind in _HANDLER_KINDS:
             writer.handler_call(instr, i, addr, iline)
         elif (plan := _fuse_plan(machine, instr)) is not None:
-            writer.fuse(plan, instr, i, addr, iline)
+            writer.fuse(instr, plan[0], i, addr, iline)
         else:
             writer.hook_call(instr, i, addr, iline)
         seg_len += 1
         if kind in _TRANSFER_KINDS:
-            end()
+            writer = None
         elif kind == Kind.SETJMP or seg_len >= SEGMENT_CAP:
             # A setjmp's successor is a resume point, like a call's:
             # it must start its own segment.
             writer.close()
-            end()
+            writer = None
     if writer is not None:
         writer.close()
-        end()
-
-    starts = [start for start, _w in segments]
-    seg_extras = [w.extras for _start, w in segments]
 
     # Assemble one module with a maker per segment.
     src_parts: List[str] = []
-    for j, (start, seg_writer) in enumerate(segments):
+    for j, (_start, seg_writer) in enumerate(segments):
         params = "".join(f", {name}" for name in seg_writer.names)
         src_parts.append(
             f"def _make{j}(machine, counts, _il, {_MODEL_PARAMS}, _mrd, _mwr, _rs{params}):"
@@ -1234,7 +1226,7 @@ def _generate_block(machine, fname: str, instrs, addrs):
         src_parts.extend(seg_writer.lines)
         src_parts.append("    return _seg")
     source = "\n".join(src_parts) + "\n"
-    return source, starts, seg_extras, n_links
+    return source, [(start, seg_writer.args) for start, seg_writer in segments]
 
 
 #: Distinct block sources whose code objects stay compiled process-wide.
@@ -1256,67 +1248,18 @@ def _compile_block(source: str):
     return compile(source, "<decoded>", "exec")
 
 
-def _resolve_probe_spec(machine, instrs, spec):
-    """Bind one ("pb", spec) maker parameter to its runtime object."""
-    tag = spec[0]
-    if tag == "instr":
-        return instrs[spec[1]]
-    if tag == "tbl":
-        return machine.path_runtime.tables[spec[1]]
-    if tag == "tblc":
-        return machine.path_runtime.tables[spec[1]].counts
-    if tag == "tblm":
-        return machine.path_runtime.tables[spec[1]].metrics
-    if tag == "picr":
-        return machine.pic.read
-    if tag == "picz":
-        return machine.pic.write_zero
-    if tag == "picw":
-        return machine.pic.write_values
-    if tag == "cct":
-        return machine.cct_runtime
-    if tag == "cctsh":
-        return machine.cct_runtime.shadow
-    if tag == "cctst":
-        return machine.cct_runtime.stats
-    if tag == "cctroot":
-        return machine.cct_runtime.root
-    if tag == "eslow":
-        instr = instrs[spec[1]]
-        runtime = machine.cct_runtime
-
-        def enter_slow(
-            parent,
-            slot_index,
-            slot_addr,
-            slot,
-            _rt=runtime,
-            _machine=machine,
-            _proc=instr.proc,
-            _nslots=instr.nslots,
-        ):
-            return _rt._enter_slow(
-                _machine, parent, slot_index, slot_addr, slot, _proc, _nslots
-            )
-
-        return enter_slow
-    raise AssertionError(f"unknown probe spec {spec!r}")  # pragma: no cover
-
-
 def decode_block(machine, function, block) -> DecodedBlock:
     """Compile one block into its step list for the current run.
 
-    Generates the block's source, takes its code object from
-    :func:`_compile_block`, and binds it to this machine: the ``exec``
-    of segment makers plus the closure handlers, hook instructions and
-    fused-probe objects.
+    One pass: generating the block's source binds every object its
+    segments use (closure handlers, link cells, hook instructions,
+    fused-probe objects, constants); the code object comes from
+    :func:`_compile_block`, and each segment's maker is called with the
+    fixed arguments plus those objects.
     """
     fname = function.name
-    instrs = block.instrs
     addrs = machine.layout.block_addrs[(fname, block.name)]
-    counts = machine.counters.counts
-
-    source, starts, seg_extras, n_links = _generate_block(machine, fname, instrs, addrs)
+    source, segments = _generate_block(machine, fname, block.instrs, addrs)
     stats = machine.codegen_stats
     hits = _compile_block.cache_info().hits
     code = _compile_block(source)
@@ -1324,10 +1267,8 @@ def decode_block(machine, function, block) -> DecodedBlock:
         stats["compile_cache_hits"] += 1
     stats["decoded_blocks"] += 1
 
-    # Successor-link cells: a transfer fills its cell with the target's
-    # decoding on first use, and both live exactly as long as the run.
-    cells = [[None] for _ in range(n_links)]
-
+    # A transfer fills its link cell with the target's decoding on first
+    # use; both live exactly as long as the run.
     def resolve_link(cell, block_name, _function=function):
         decoded = machine._decoded_block(_function, block_name)
         cell[0] = decoded
@@ -1335,39 +1276,20 @@ def decode_block(machine, function, block) -> DecodedBlock:
 
     namespace = machine._codegen_namespace()
     exec(code, namespace)
-    models = _model_bindings(machine)
-    iline_cell = machine._iline
-    mem_read = machine.memory._store.get
-    mem_write = machine.memory._store.__setitem__
-
+    fixed = (
+        machine,
+        machine.counters.counts,
+        machine._iline,
+        *_model_bindings(machine),
+        machine.memory._store.get,
+        machine.memory._store.__setitem__,
+        resolve_link,
+    )
     resume: Dict[int, int] = {}
     steps: List[Callable] = []
-    for j, start in enumerate(starts):
-        maker = namespace[f"_make{j}"]
+    for j, (start, args) in enumerate(segments):
         resume[start] = j
-        extras = []
-        for t, v in seg_extras[j]:
-            if t == "h":
-                extras.append(_make_handler(machine, instrs[v], v + 1, fname))
-            elif t == "lk":
-                extras.append(cells[v])
-            elif t == "c":
-                extras.append(v)
-            else:
-                extras.append(_resolve_probe_spec(machine, instrs, v))
-        steps.append(
-            maker(
-                machine,
-                counts,
-                iline_cell,
-                *models,
-                mem_read,
-                mem_write,
-                resolve_link,
-                *extras,
-            )
-        )
-
+        steps.append(namespace[f"_make{j}"](*fixed, *args))
     return DecodedBlock(steps, resume, source)
 
 

@@ -128,10 +128,10 @@ class Machine:
         self.counters = CounterBank()
         self.pic = PicRegisters(self.counters, pic0_event, pic1_event)
         cfg = self.config
-        #: Which execution engine :meth:`run` uses by default: "fast"
-        #: (the predecoded engine of :mod:`repro.machine.engine`) or
-        #: "simple" (the reference if/elif interpreter).  Overridable
-        #: per run, per machine, or globally via ``REPRO_ENGINE``.
+        #: Which execution engine :meth:`run` uses: "fast" (the
+        #: predecoded engine of :mod:`repro.machine.engine`) or "simple"
+        #: (the reference if/elif interpreter).  Set per machine, or
+        #: globally via ``REPRO_ENGINE``.
         self.engine = engine or os.environ.get("REPRO_ENGINE", "fast")
         if cfg.dcache_assoc == 1:
             self.dcache = DirectMappedCache(cfg.dcache_size, cfg.dcache_line)
@@ -302,13 +302,13 @@ class Machine:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, *args: Union[int, float], engine: Optional[str] = None) -> RunResult:
-        """Execute the program; ``engine`` overrides the machine default.
+    def run(self, *args: Union[int, float]) -> RunResult:
+        """Execute the program on the machine's engine (:attr:`engine`).
 
-        ``engine="fast"`` uses the predecoded block engine
-        (:mod:`repro.machine.engine`, the default); ``engine="simple"``
-        uses the reference if/elif interpreter.  Both produce
-        bit-identical counters (the differential tests enforce it).
+        ``"fast"`` is the predecoded block engine
+        (:mod:`repro.machine.engine`, the default); ``"simple"`` is the
+        reference if/elif interpreter.  Both produce bit-identical
+        counters (the differential tests enforce it).
 
         Each run lays the program out and decodes it afresh, as it
         stands now: a rerun sees any edit made since the last run, and
@@ -316,7 +316,6 @@ class Machine:
         """
         from repro.edit.layout import assign_layout
 
-        engine_name = engine or self.engine
         program = self.program
         entry = program.functions.get(program.entry)
         if entry is None:
@@ -342,13 +341,13 @@ class Machine:
             tracer.on_enter(entry.name, -1)
             tracer.on_block(entry.name, frame.block_name)
 
-        if engine_name == "fast":
+        if self.engine == "fast":
             from repro.machine.engine import execute
 
             return RunResult(self, execute(self))
-        if engine_name == "simple":
+        if self.engine == "simple":
             return RunResult(self, self._run_simple())
-        raise MachineError(f"unknown engine {engine_name!r}")
+        raise MachineError(f"unknown engine {self.engine!r}")
 
     # -- engine plumbing ----------------------------------------------------
 

@@ -285,7 +285,14 @@ def plan_spanning_tree(
     """
     plan = InstrumentationPlan(numbering, method="spanning_tree")
     graph = numbering.graph
-    tree, closing = _max_spanning_tree(numbering, weights)
+    known = weights or {}
+    tree, closing = max_spanning_tree(
+        graph.vertices,
+        graph.edges,
+        graph.entry,
+        graph.exit,
+        lambda tedge: known.get(tedge.origin.index, 1.0),
+    )
     chord_inc = _chord_increments(numbering, tree, closing)
 
     start_vals: Dict[int, int] = {e.index: 0 for e in graph.backedges}
@@ -344,29 +351,21 @@ class _UnionFind:
         return True
 
 
-def _max_spanning_tree(
-    numbering: PathNumbering, weights: Optional[Dict[int, float]]
-) -> Tuple[List[TEdge], bool]:
-    """Kruskal over the undirected transformed graph.
+def max_spanning_tree(vertices, edges, entry, exit, weight) -> Tuple[list, bool]:
+    """Kruskal over an undirected graph closed by a virtual EXIT->ENTRY edge.
 
-    Returns (tree edges, closing_in_tree).  The closing EXIT->ENTRY edge
-    is processed first so it is always in the tree (it cannot carry an
-    increment).  Ties break on edge index for determinism.
+    Returns (tree edges, closing_in_tree).  The closing edge is
+    processed first so it is always in the tree (it cannot carry an
+    increment).  Edges go heaviest first by ``weight(edge)``; ties break
+    on edge index for determinism.  Path placement runs it over the
+    transformed graph, edge placement over the CFG.
     """
-    graph = numbering.graph
-    uf = _UnionFind(graph.vertices)
-    closing_in_tree = uf.union(graph.exit, graph.entry)
-
-    def weight(tedge: TEdge) -> float:
-        if weights is None:
-            return 1.0
-        return weights.get(tedge.origin.index, 1.0)
-
-    ordered = sorted(graph.edges, key=lambda e: (-weight(e), e.index))
-    tree: List[TEdge] = []
-    for tedge in ordered:
-        if uf.union(tedge.src, tedge.dst):
-            tree.append(tedge)
+    uf = _UnionFind(vertices)
+    closing_in_tree = uf.union(exit, entry)
+    tree = []
+    for edge in sorted(edges, key=lambda e: (-weight(e), e.index)):
+        if uf.union(edge.src, edge.dst):
+            tree.append(edge)
     return tree, closing_in_tree
 
 

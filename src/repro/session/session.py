@@ -11,10 +11,13 @@ itself) that calls :func:`~repro.instrument.pathinstr.instrument_paths`
 single-pipeline invariant DESIGN.md documents.
 
 Observability comes for free at this layer: every phase of the
-pipeline (``clone``, ``instrument``, ``decode``, ``run``, ``collect``)
+pipeline (``clone``, ``instrument``, ``machine``, ``run``, ``collect``)
 emits a structured ``phase`` event with its wall time — and, for the
-run phase, the simulated instruction count — through the session's
-:class:`~repro.tools.runlog.RunLog`.  A session built without a log
+run phase, the simulated instruction count and the number of blocks
+the run decoded — through the session's
+:class:`~repro.tools.runlog.RunLog`.  The ``machine`` phase builds the
+machine and attaches the runtimes; decoding happens inside ``run``,
+when the run first reaches each block.  A session built without a log
 path swallows the events, keeping the pipeline unconditional.
 
 The session allocates one :class:`~repro.machine.memory.MemoryMap`
@@ -48,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle with repro.tools
 #: Pipeline phases, in execution order (the ``phase`` field of the
 #: JSONL events a session emits).  A run given a ``store=`` sink emits
 #: one additional ``store`` phase after ``collect``.
-PHASES = ("clone", "instrument", "decode", "run", "collect")
+PHASES = ("clone", "instrument", "machine", "run", "collect")
 
 
 def clone_program(program: Program) -> Program:
@@ -255,7 +258,7 @@ class ProfileSession:
             engine=spec.engine,
         )
         machine.path_runtime, machine.cct_runtime = inst.runtimes()
-        self._phase("decode", started, spec, engine=machine.engine)
+        self._phase("machine", started, spec, engine=machine.engine)
 
         started = time.perf_counter()
         result = machine.run(*args)
@@ -265,6 +268,7 @@ class ProfileSession:
             spec,
             instructions=result.instructions,
             cycles=result.cycles,
+            decoded_blocks=machine.codegen_stats["decoded_blocks"],
         )
 
         started = time.perf_counter()

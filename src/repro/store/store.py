@@ -67,11 +67,12 @@ MIN_PREFIX = 4
 
 
 class StoreError(ValueError):
-    """A store artifact is missing, corrupt, or a ref does not resolve.
+    """A store artifact is missing, corrupt, or a ref does not resolve,
+    or the store directory cannot be created.
 
     Carries the offending ``path`` (a file for corruption, the store
-    root for ref errors) so callers report *which* artifact is damaged
-    instead of leaking a parse traceback.
+    root for ref and directory errors) so callers report *which*
+    artifact is damaged instead of leaking a parse traceback.
     """
 
     def __init__(self, path: str, reason: str):
@@ -120,7 +121,12 @@ class ProfileStore:
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(os.path.join(root, "objects"), exist_ok=True)
+        try:
+            os.makedirs(os.path.join(root, "objects"), exist_ok=True)
+        except OSError as exc:
+            raise StoreError(
+                root, f"cannot create store directory: {exc.strerror or exc}"
+            ) from None
 
     # -- blobs ---------------------------------------------------------------
 

@@ -22,12 +22,13 @@ Events share a small envelope — ``seq`` (monotonic per writer),
 ``merge``                 ``shards_merged``, ``cct_digest``
 ``run_complete``          ``shards``
 ``run_failed``            ``shard``, ``attempts``, ``reason``
-``phase``                 ``phase`` (clone/instrument/decode/run/collect,
+``phase``                 ``phase`` (clone/instrument/machine/run/collect,
                           plus ``store`` when the run is persisted to a
                           profile store), ``mode``, ``seconds``; the
-                          decode phase adds ``engine``, the run phase
-                          ``instructions`` and ``cycles``, the store
-                          phase ``run_id`` and ``workload`` (emitted by
+                          machine phase adds ``engine``, the run phase
+                          ``instructions``, ``cycles`` and
+                          ``decoded_blocks``, the store phase ``run_id``
+                          and ``workload`` (emitted by
                           :class:`repro.session.ProfileSession`)
 ========================  ====================================================
 
@@ -46,14 +47,29 @@ import time
 from typing import Iterator, List, Optional
 
 
+class RunLogError(Exception):
+    """The run log's path cannot be written."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot write run log {path}: {reason}")
+        self.path = path
+
+
 class RunLog:
     """Append-only JSONL event log (no-op when ``path`` is ``None``).
 
     ``context`` keyword fields are merged into every record the writer
     emits — the shard runner stamps worker logs with ``shard``/``pid``.
+    A path that cannot be opened for appending is a :class:`RunLogError`
+    at construction, before any work the log would describe.
     """
 
     def __init__(self, path: Optional[str], **context):
+        if path is not None:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise RunLogError(path, exc.strerror or str(exc)) from None
         self.path = path
         self.context = context
         self._seq = 0
@@ -93,4 +109,4 @@ def events_of(path: str, kind: str) -> Iterator[dict]:
     return (event for event in read_run_log(path) if event.get("event") == kind)
 
 
-__all__ = ["RunLog", "events_of", "read_run_log"]
+__all__ = ["RunLog", "RunLogError", "events_of", "read_run_log"]

@@ -36,7 +36,7 @@ injected worker kills, hangs, and truncated dumps
 Every run appends shard start/exit/retry/merge events to a JSONL run
 log (:mod:`repro.tools.runlog`) in the working directory; workers
 additionally append per-run pipeline ``phase`` events (clone /
-instrument / decode / run / collect, stamped with their shard and
+instrument / machine / run / collect, stamped with their shard and
 pid) through the :class:`~repro.session.ProfileSession` they run on.
 """
 

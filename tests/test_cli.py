@@ -70,40 +70,46 @@ class TestRun:
 
 class TestFlow:
     def test_hot_paths_printed(self, source_file, capsys):
-        assert main(["flow", source_file, "1"]) == 0
+        assert main(["profile", source_file, "1", "--mode", "flow"]) == 0
         out = capsys.readouterr().out
         assert "paths by L1D misses" in out
         assert "hot paths carry" in out
         assert "overhead:" in out
 
     def test_threshold_flag(self, source_file, capsys):
-        assert main(["flow", source_file, "1", "--threshold", "0.5"]) == 0
+        assert main(
+            ["profile", source_file, "1", "--mode", "flow", "--threshold", "0.5"]
+        ) == 0
         assert "hot paths" in capsys.readouterr().out
 
 
 class TestContext:
     def test_cct_printed(self, source_file, capsys):
-        assert main(["context", source_file, "1"]) == 0
+        assert main(["profile", source_file, "1", "--mode", "context"]) == 0
         out = capsys.readouterr().out
         assert "calling context tree" in out
         assert "main -> work" in out
         assert "records" in out
 
     def test_merge_sites_flag(self, source_file, capsys):
-        assert main(["context", source_file, "1", "--merge-sites"]) == 0
+        assert main(
+            ["profile", source_file, "1", "--mode", "context", "--merge-sites"]
+        ) == 0
         assert "calling context tree" in capsys.readouterr().out
 
 
 class TestCombined:
     def test_per_context_paths(self, source_file, capsys):
-        assert main(["combined", source_file, "1"]) == 0
+        assert main(["profile", source_file, "1", "--mode", "combined"]) == 0
         out = capsys.readouterr().out
         assert "per-context path profile" in out
         assert "one-path call sites" in out
 
     def test_save_cct(self, source_file, tmp_path, capsys):
         target = str(tmp_path / "out.cct")
-        assert main(["combined", source_file, "1", "--save", target]) == 0
+        assert main(
+            ["profile", source_file, "1", "--mode", "combined", "--save", target]
+        ) == 0
         from repro.cct.serialize import load_cct
 
         loaded = load_cct(target)
@@ -237,13 +243,13 @@ class TestBench:
 
 class TestContextRenderFlags:
     def test_tree_output(self, source_file, capsys):
-        assert main(["context", source_file, "1", "--tree"]) == 0
+        assert main(["profile", source_file, "1", "--mode", "context", "--tree"]) == 0
         out = capsys.readouterr().out
         assert "<root>" in out
         assert "|-" in out or "`-" in out
 
     def test_dot_output(self, source_file, capsys):
-        assert main(["context", source_file, "1", "--dot"]) == 0
+        assert main(["profile", source_file, "1", "--mode", "context", "--dot"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph CCT")
 
@@ -487,9 +493,10 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            main(["run", "/nonexistent/program.pl"])
+    def test_missing_file(self, tmp_path, capsys):
+        path = str(tmp_path / "program.pl")
+        err = self._fails_in_one_line(capsys, ["run", path])
+        assert err == f"error: cannot read program {path}: No such file or directory\n"
 
     @staticmethod
     def _fails_in_one_line(capsys, argv) -> str:
@@ -498,6 +505,50 @@ class TestErrors:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         return err
+
+    @pytest.mark.parametrize(
+        "argv, status, message",
+        [
+            (["profile", "{missing}", "1"], 1, "cannot read program {missing}"),
+            (["run", "{src}", "notanint"], 2, "invalid int value: 'notanint'"),
+            (
+                ["shard-run", "{src}", "--inputs", "1;;x"],
+                2,
+                "argument --inputs: not a list of integers: 'x'",
+            ),
+            (
+                ["profile", "{src}", "1", "--log", "{missing}/x.jsonl"],
+                1,
+                "cannot write run log {missing}/x.jsonl",
+            ),
+            (
+                ["profile", "{src}", "1", "--mode", "combined", "--store", "{src}/s"],
+                1,
+                "{src}/s: cannot create store directory",
+            ),
+        ],
+        ids=[
+            "missing-program", "non-integer-arg", "bad-inputs", "log-dir", "store-dir"
+        ],
+    )
+    def test_bad_input_is_one_line_error(
+        self, argv, status, message, source_file, tmp_path, capsys
+    ):
+        """A missing program, a non-integer argument or input set, and a
+        log or store path that cannot be written each fail before any
+        run, as one ``error:`` line naming the offending value."""
+        paths = {"src": source_file, "missing": str(tmp_path / "missing")}
+        argv = [arg.format(**paths) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == status
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert message.format(**paths) in err
 
     @pytest.mark.parametrize("verb", ["run", "profile"])
     def test_syntax_error_is_one_line_error(self, verb, tmp_path, capsys):
@@ -571,7 +622,7 @@ class TestErrors:
 
 
 class TestProfile:
-    """The unified ``profile`` verb and its per-mode delegates."""
+    """The unified ``profile`` verb in every mode."""
 
     MODE_TITLES = {
         "baseline": "hardware events",
@@ -587,18 +638,6 @@ class TestProfile:
         assert main(["profile", source_file, "1", "--mode", mode]) == 0
         assert self.MODE_TITLES[mode] in capsys.readouterr().out
 
-    def test_per_mode_verbs_delegate(self, source_file, capsys):
-        """``flow``/``context``/``combined`` are spelled-out profile modes."""
-        for verb, mode in (
-            ("flow", "flow"),
-            ("context", "context"),
-            ("combined", "combined"),
-        ):
-            assert main([verb, source_file, "1"]) == 0
-            legacy_out = capsys.readouterr().out
-            assert main(["profile", source_file, "1", "--mode", mode]) == 0
-            assert capsys.readouterr().out == legacy_out
-
     def test_log_records_every_phase(self, source_file, tmp_path, capsys):
         import json
 
@@ -610,7 +649,7 @@ class TestProfile:
         events = [json.loads(line) for line in open(log)]
         assert [e["event"] for e in events] == ["phase"] * 5
         assert [e["phase"] for e in events] == [
-            "clone", "instrument", "decode", "run", "collect",
+            "clone", "instrument", "machine", "run", "collect",
         ]
         assert all(e["seconds"] >= 0 and e["command"] == "profile" for e in events)
 
@@ -650,6 +689,6 @@ class TestProfile:
         phases = [e for e in events if e["event"] == "phase"]
         assert phases and all(e["seconds"] >= 0 for e in phases)
         assert {e["phase"] for e in phases} == {
-            "clone", "instrument", "decode", "run", "collect",
+            "clone", "instrument", "machine", "run", "collect",
         }
         assert all("shard" in e for e in phases)

@@ -248,17 +248,19 @@ class TestPhaseEvents:
         program = compile_corpus("calls")
         path = str(tmp_path / "run.log.jsonl")
         session = ProfileSession(log=RunLog(path))
-        session.run(ProfileSpec(mode="context_flow"), program)
+        profile_run = session.run(ProfileSpec(mode="context_flow"), program)
         events = read_run_log(path)
         assert [e["event"] for e in events] == ["phase"] * len(PHASES)
         assert [e["phase"] for e in events] == list(PHASES)
         for event in events:
             assert event["mode"] == "context_flow"
             assert event["seconds"] >= 0
-        decode = next(e for e in events if e["phase"] == "decode")
-        assert decode["engine"] in ("simple", "fast")
+        machine = next(e for e in events if e["phase"] == "machine")
+        assert machine["engine"] in ("simple", "fast")
         run = next(e for e in events if e["phase"] == "run")
         assert run["instructions"] > 0 and run["cycles"] > 0
+        stats = profile_run.machine.codegen_stats
+        assert run["decoded_blocks"] == stats["decoded_blocks"]
 
     @pytest.mark.parametrize("engine", ["simple", "fast"])
     def test_phase_sequence_is_the_same_on_every_engine(self, tmp_path, engine):
@@ -268,8 +270,11 @@ class TestPhaseEvents:
         session.run(ProfileSpec(mode="flow_hw", engine=engine), program)
         events = read_run_log(path)
         assert [e["phase"] for e in events] == list(PHASES)
-        decode = next(e for e in events if e["phase"] == "decode")
-        assert decode["engine"] == engine
+        machine = next(e for e in events if e["phase"] == "machine")
+        assert machine["engine"] == engine
+        # Only the fast engine decodes, and it does so inside the run.
+        run = next(e for e in events if e["phase"] == "run")
+        assert (run["decoded_blocks"] > 0) == (engine == "fast")
 
     def test_phases_accumulate_across_runs(self, tmp_path):
         program = compile_corpus("loop")

@@ -347,7 +347,7 @@ class TestSessionSink:
             for line in open(log_path)
             if json.loads(line).get("event") == "phase"
         ]
-        assert phases == ["clone", "instrument", "decode", "run", "collect", "store"]
+        assert phases == ["clone", "instrument", "machine", "run", "collect", "store"]
 
     def test_kflow_run_round_trips_with_stable_spec_digest(self, tmp_path):
         """A persisted kflow run reloads bit-identically, keyed under a
