@@ -11,8 +11,8 @@ the instrumented program with fresh (identically shaped) runtime
 state, so the fast engine's warm passes exercise the fused-probe code
 path the experiments run in.  The asserted speedup is the warm
 fast-engine speedup in flow mode, where every hook fuses into
-generated code (combined mode's per-context tables keep the closure
-fallback by design).
+generated code (combined mode's per-context commits of hash specs keep
+the runtime call by design).
 
 ``REPRO_INSTRUMENTED_SPEED_CHECK_ONLY=1`` relaxes the >=2x assertion
 to >1x for noisy shared CI runners;

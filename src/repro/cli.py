@@ -37,15 +37,18 @@ passed to ``main``.
 A usage error (an unknown verb or flag, a non-integer argument) is one
 ``error:`` line on stderr and exit code 2; a failure the command meets
 (a malformed program, an unreadable program file, an unwritable
-``--log`` or ``--store`` path, a simulated fault) is one ``error:``
-line and exit code 1, except that ``diff``, ``ci`` and ``optimize``
-exit 2 on store errors.
+``--log``, ``--store``, ``--save`` or ``--report`` path, a simulated
+fault) is one ``error:`` line and exit code 1, except that ``diff``,
+``ci`` and ``optimize`` exit 2 on store errors.  Paths the command
+writes are checked before the run, so an unwritable one costs no run.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from typing import List, Optional, Tuple
 
 from repro.machine.counters import Event
@@ -64,6 +67,25 @@ def _read_program(path: str) -> str:
         raise ProgramFileError(
             f"cannot read program {path}: {exc.strerror or exc}"
         ) from None
+
+
+class OutputFileError(Exception):
+    """A file named on the command line cannot be written."""
+
+
+def _check_output(path: str, what: str) -> None:
+    """Reject ``path`` before the run whose result it would hold if its
+    directory cannot take a new file (the writers replace ``path`` with
+    a file made beside it) or it names a directory."""
+    try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
+            pass
+    except OSError as exc:
+        raise OutputFileError(
+            f"cannot write {what} {path}: {exc.strerror or exc}"
+        ) from None
+    if os.path.isdir(path):
+        raise OutputFileError(f"cannot write {what} {path}: Is a directory")
 
 
 def _load_program(path: str):
@@ -315,6 +337,8 @@ def cmd_profile(args) -> int:
 
     mode = _PROFILE_MODES[args.mode]
     program = _load_program(args.file)
+    if args.save:
+        _check_output(args.save, "CCT")
     session = _make_session(args)
     spec = _build_spec(mode, args)
     run_args = args.args
@@ -574,6 +598,8 @@ def cmd_optimize(args) -> int:
     from repro.store import ProfileStore, StoreError, Verdict
 
     program = _load_program(args.file)
+    if args.report:
+        _check_output(args.report, "report")
     run_args = args.args
     session = _make_session(args)
 
@@ -1142,6 +1168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         LangError,
         MachineConfigError,
         MachineError,
+        OutputFileError,
         ProfileSpecError,
         ProgramFileError,
         RunLogError,
@@ -1149,8 +1176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ShardRunError,
         StoreError,
     ) as exc:
-        # Malformed programs, unreadable program files, unwritable log
-        # and store paths, unsimulatable machine configs, simulated
+        # Malformed programs, unreadable program files, unwritable log,
+        # store and output paths, unsimulatable machine configs, simulated
         # faults (bad calls, exhausted budgets), corrupt dumps,
         # malformed specs, and exhausted shard retries are expected
         # operational conditions: one line naming the offence, not a

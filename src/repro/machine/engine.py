@@ -29,19 +29,29 @@ this engine compiles each basic block once per run:
   static: array-table ``bump``/``accumulate`` fast paths with slot
   strides inlined, ``edge_count`` with the whole address precomputed,
   the PIC zero/save/restore sequences, the CCT
-  gCSP store before calls, and the CCT entry/exit protocol with a
+  gCSP store before calls, the CCT entry/exit protocol with a
   generated tag-0 fast path that only calls into the runtime
-  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  Every other
-  hook — hash tables, per-context tables (the combined mode's ``table
-  == -1``), CCT backedge probes, and any hook run without an attached
-  runtime — is one generated line, the simple engine's own runtime
-  call (``machine._require_path_runtime().commit(machine, frame,
-  instr)``), with the instruction bound as a maker parameter;
+  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots, and the combined
+  mode's per-context commits (``table == -1``) when the function's
+  table spec is an array: the current call record's table is looked up
+  inline, and ``CCTRuntime.path_table`` is called only to create it.
+  Every other hook — hash tables, other per-context hooks, CCT
+  backedge probes, and any hook run without an attached runtime — is
+  one generated line, the simple engine's own runtime call
+  (``machine._require_path_runtime().commit(machine, frame, instr)``),
+  with the instruction bound as a maker parameter;
 * only the instructions that change the frame stack — calls, indirect
   calls, returns and longjmp — get a closure handler, one per
   instruction with operands and callee records bound at decode time.
   It holds the frame change alone; the segment fetches the
-  instruction, flushes its costs and then returns through it;
+  instruction, flushes its costs and then returns through it.  A
+  direct call below the deepest legal frame hands off the way a branch
+  does: it pushes the frame of its depth from a per-run pool (reset,
+  with fresh zeroed registers), hands the run loop the callee's entry
+  decoding through a per-site cell, and records on the new frame where
+  the caller resumes, which the return hands straight back.  Indirect
+  calls, tracers, signal frames, longjmp and calls that fault take the
+  slow path, whose top frame the run loop looks up in full;
 * block-static work is hoisted out of the inner loop: per-run
   ``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL`` increments are batched
   into partial sums flushed before the next counter *observer*, and the
@@ -130,7 +140,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cct.records import CallRecord
 from repro.cct.runtime import GCSP_SLOT, _ShadowEntry
-from repro.instrument.tables import TableKind
+from repro.instrument.tables import ProfilingRuntime, TableKind
 from repro.ir.instructions import (
     FLOAT_OPS,
     Imm,
@@ -257,9 +267,20 @@ class DecodedBlock:
 # ---------------------------------------------------------------------------
 # Closure handlers: calls, returns and longjmp (one per instruction).
 # Segment code has already fetched the instruction and flushed its
-# costs, so a closure holds only the frame-stack change; control always
-# transfers, so each returns True.
+# costs, so a closure holds only the frame-stack change.  Control always
+# transfers, so each returns True.  A direct call and a return may also
+# hand off: they leave ``(steps, nsteps, step)`` of where the new top
+# frame continues in ``machine._handoff``, and the run loop goes there
+# without looking the block up; a closure that leaves it empty asks for
+# that lookup.
 # ---------------------------------------------------------------------------
+
+
+def _continuation(machine, function, block_name: str, index: int) -> Tuple:
+    """``(steps, nsteps, step)`` of the step starting at instruction
+    ``index`` of one block: what a hand-off gives the run loop."""
+    decoded = machine._decoded_block(function, block_name)
+    return decoded.steps, decoded.nsteps, decoded.resume[index]
 
 
 def _make_handler(machine, instr, next_index: int, fname: str):
@@ -269,6 +290,7 @@ def _make_handler(machine, instr, next_index: int, fname: str):
     counts = machine.counters.counts
     frames = machine._frames
     functions = machine.program.functions
+    handoff = machine._handoff
 
     if kind == Kind.CALL or kind == Kind.ICALL:
         frame_base = machine.memory.frame_base
@@ -293,7 +315,7 @@ def _make_handler(machine, instr, next_index: int, fname: str):
             table = machine.program.function_table
             func_reg = instr.func
 
-        def step(frame):
+        def slow(frame):
             if callee is not None:
                 target = callee
             elif table is None:
@@ -323,6 +345,59 @@ def _make_handler(machine, instr, next_index: int, fname: str):
                 tracer.on_block(target.name, new_frame.block_name)
             return True
 
+        if callee is None or nargs > callee.num_params:
+            return slow
+
+        # A direct call whose callee and arguments fit hands off.  Below
+        # ``limit`` neither the depth check nor the stack check can
+        # fail, so the frame base is computed here; at the limit the
+        # slow path raises exactly as it would have.
+        stack = machine.memory.stack
+        frame_bytes = frame_words * WORD
+        limit = min(max_call_depth, stack.size // frame_bytes)
+        stack_base = stack.base
+        pool = machine._frame_pool
+        entry_name = callee.entry.name
+        nregs = callee.num_regs
+        entry_cell = [None]
+        cont_cell = [None]
+
+        def step(frame):
+            depth = len(frames)
+            if depth >= limit or machine.tracer is not None:
+                return slow(frame)
+            entry = entry_cell[0]
+            if entry is None:
+                entry = entry_cell[0] = _continuation(machine, callee, entry_name, 0)
+            cont = cont_cell[0]
+            if cont is None:
+                cont = cont_cell[0] = _continuation(
+                    machine, frame.function, frame.block_name, next_index
+                )
+            frame.index = next_index
+            try:
+                new_frame = pool[depth]
+            except IndexError:
+                while len(pool) <= depth:
+                    pool.append(Frame(callee, stack_base + len(pool) * frame_bytes, dst))
+                new_frame = pool[depth]
+            new_frame.function = callee
+            new_frame.regs = new_regs = [0] * nregs
+            new_frame.block_name = entry_name
+            new_frame.index = 0
+            new_frame.ret_reg = dst
+            new_frame.saved_pic = (0, 0)
+            new_frame.cont = cont
+            for pos, value in imm_args:
+                new_regs[pos] = value
+            regs = frame.regs
+            for pos, reg in reg_args:
+                new_regs[pos] = regs[reg]
+            frames.append(new_frame)
+            machine.depth = depth + 1
+            handoff[0] = entry
+            return True
+
         return step
 
     if kind == Kind.RET:
@@ -339,6 +414,14 @@ def _make_handler(machine, instr, next_index: int, fname: str):
                 value = frame.regs[rv]
             frames.pop()
             machine.depth = len(frames)
+            cont = frame.cont
+            if cont is not None and machine.tracer is None:
+                # A handed-off call's frame: never a signal frame, and
+                # its caller is the new top frame.
+                if frame.ret_reg is not None:
+                    frames[-1].regs[frame.ret_reg] = 0 if value is None else value
+                handoff[0] = cont
+                return True
             if frame.is_signal:
                 machine._signal_depth -= 1
                 machine._next_signal_at = counts[_INSTRS] + machine._signal_period
@@ -760,7 +843,8 @@ class _SegmentWriter:
 
     def fuse(self, instr, table, index: int, addr: int, iline: int) -> None:
         """Emit one instrumentation hook inline; ``table`` is the array
-        table :func:`_fuse_plan` found for a table hook, else None.
+        table (or, for a per-context commit, the table spec)
+        :func:`_fuse_plan` found for a table hook, else None.
 
         Every fused body except ``CctCall`` observes counters (its
         profiling stores drain the store buffer; PIC accesses latch
@@ -773,7 +857,10 @@ class _SegmentWriter:
         if kind != Kind.CCT_CALL:
             self.flush_costs()
         if kind == Kind.PATH_COMMIT:
-            self._fuse_commit(instr, table)
+            if instr.table == ProfilingRuntime.CONTEXT_TABLE:
+                self._fuse_context_commit(instr, table)
+            else:
+                self._fuse_commit(instr, table)
         elif kind == Kind.HWC_ACCUM:
             self._fuse_accum(instr, table)
         elif kind == Kind.K_HWC_CYCLE:
@@ -799,18 +886,20 @@ class _SegmentWriter:
         elif kind == Kind.CCT_CALL:
             runtime = self.machine.cct_runtime
             rt = self.param("cct", runtime)
-            sh = self.param("cctsh", runtime.shadow)
             slot = instr.slot if runtime.by_site else 0
-            self.emit(
-                f"{rt}.gcsp = (({sh}[-1].record if {sh} else "
-                f"{self.param('cctroot', runtime.root)}), {self.const(slot)})"
-            )
+            self.emit(f"{rt}.gcsp = ({self._current_record()}, {self.const(slot)})")
         elif kind == Kind.CCT_ENTER:
             self._fuse_cct_enter(instr, index)
         elif kind == Kind.CCT_EXIT:
             self._fuse_cct_exit()
         else:  # pragma: no cover - guarded by _fuse_plan
             raise AssertionError(f"{kind!r} does not fuse")
+
+    def _current_record(self) -> str:
+        """Expression for ``CCTRuntime.current_record``."""
+        runtime = self.machine.cct_runtime
+        sh = self.param("cctsh", runtime.shadow)
+        return f"({sh}[-1].record if {sh} else {self.param('cctroot', runtime.root)})"
 
     def _pic(self, method: str) -> str:
         """Parameter name of the PIC's bound ``method``."""
@@ -831,6 +920,25 @@ class _SegmentWriter:
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
         self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
+        if instr.reset_to is not None:
+            self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
+
+    def _fuse_context_commit(self, instr, spec) -> None:
+        """``ProfilingRuntime.commit`` into the current record's table
+        (§4.3).  The runtime makes the table only when the record has
+        none yet, so tables and their CCT heap come in the same order;
+        base and capacity are the table's, the stride the spec's."""
+        runtime = self.machine.cct_runtime
+        name = self.const(self.fname)
+        self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
+        self.emit(f"_ct = {self._current_record()}.path_tables.get({name})")
+        self.emit("if _ct is None:")
+        self.emit(f"    _ct = {self.param('cctpt', runtime.path_table)}(machine, {name})")
+        self.emit("if 0 <= _i < _ct.capacity:")
+        self.emit(f"    _a = _ct.base + _i * {(1 + spec[1]) * WORD}")
+        self._bump("_ct.counts", "_i", "_a", 3)
+        self.emit("else:")
+        self.emit("    _ct.out_of_range += 1")
         if instr.reset_to is not None:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
@@ -1059,25 +1167,37 @@ _METRIC_TABLE_KINDS = frozenset({Kind.HWC_ACCUM, Kind.K_HWC_CYCLE, Kind.K_HWC_EX
 _PIC_KINDS = frozenset({Kind.HWC_ZERO, Kind.HWC_SAVE, Kind.HWC_RESTORE})
 
 
-def _fuse_plan(machine, instr) -> Optional[Tuple]:
-    """``(table,)`` when hook ``instr`` fuses into generated source —
-    ``table`` is the array table a table hook updates, None for PIC and
+def _fuse_plan(machine, instr, fname: Optional[str] = None) -> Optional[Tuple]:
+    """``(table,)`` when hook ``instr`` of function ``fname`` fuses into
+    generated source — ``table`` is the array table a table hook
+    updates, the table spec of a per-context commit, None for PIC and
     CCT hooks — or None when segment code makes the runtime call
     instead (:meth:`_SegmentWriter.hook_call`).
 
     Array-table commits/accumulates/edge bumps fuse with their slot
-    strides as literals; hash tables, per-context tables
-    (``table == -1``) and missing runtimes get the call.  PIC sequences
-    always fuse.  CCT enter/call/exit fuse when a runtime is attached
-    (the entry slow path still runs in the runtime, through a per-site
-    closure); ``CctProbe`` never does.
+    strides as literals; hash tables and missing runtimes get the call.
+    A per-context commit (the combined mode's ``table == -1``) fuses
+    when both runtimes are attached and the spec the CCT runtime makes
+    ``fname``'s tables from is an array; other per-context hooks get the
+    call.  PIC sequences always fuse.  CCT enter/call/exit fuse when a
+    runtime is attached (the entry slow path still runs in the runtime,
+    through a per-site closure); ``CctProbe`` never does.
     """
     kind = instr.kind
     if kind in _PIC_KINDS:
         return (None,)
     if kind in _TABLE_KINDS:
         runtime = machine.path_runtime
-        if runtime is None or not 0 <= instr.table < len(runtime.tables):
+        if runtime is None:
+            return None
+        if kind == Kind.PATH_COMMIT and instr.table == ProfilingRuntime.CONTEXT_TABLE:
+            cct = machine.cct_runtime
+            profiling = None if cct is None else cct.profiling
+            spec = None if profiling is None else profiling.specs.get(fname)
+            if spec is None or spec[2] is not TableKind.ARRAY:
+                return None
+            return (spec,)
+        if not 0 <= instr.table < len(runtime.tables):
             return None
         table = runtime.tables[instr.table]
         if table.kind is not TableKind.ARRAY:
@@ -1199,7 +1319,7 @@ def _generate_block(machine, fname: str, instrs, addrs):
             writer.inline(instr, i, addr, iline)
         elif kind in _HANDLER_KINDS:
             writer.handler_call(instr, i, addr, iline)
-        elif (plan := _fuse_plan(machine, instr)) is not None:
+        elif (plan := _fuse_plan(machine, instr, fname)) is not None:
             writer.fuse(instr, plan[0], i, addr, iline)
         else:
             writer.hook_call(instr, i, addr, iline)
@@ -1311,6 +1431,7 @@ def execute(machine):
     max_instructions = machine.config.max_instructions
     decoded_cache = machine._decoded
     signal_active = machine._signal_handler is not None
+    handoff = machine._handoff
     INSTRS = _INSTRS
 
     while frames:
@@ -1334,24 +1455,30 @@ def execute(machine):
                 raise MachineError(f"instruction budget exceeded ({max_instructions})")
             r = steps[k](frame)
             if r is True:
-                # Call, return, or longjmp: the top frame (and with it
-                # the current function) may have changed — full lookup.
-                break
-            if r is False:
+                # Call, return, or longjmp: the top frame changed.  A
+                # direct call or a return left where it continues in
+                # the hand-off cell; anything else needs the full lookup.
+                cont = handoff[0]
+                if cont is None:
+                    break
+                handoff[0] = None
+                steps, nsteps, k = cont
+                frame = frames[-1]
+            elif r is False:
                 # Segment fell through to the next (cap split / setjmp
                 # resume point); a block's last segment always transfers.
                 k += 1
                 if k >= nsteps:
                     raise MachineError(
-                        f"{function.name}.{frame.block_name}: fell through block end"
+                        f"{frame.function.name}.{frame.block_name}: fell through block end"
                     )
                 continue
-            # Branch within the same frame: r is the successor's
-            # decoded block, delivered through the transfer's link cell.
-            decoded = r
-            steps = decoded.steps
-            nsteps = decoded.nsteps
-            k = 0
+            else:
+                # Branch within the same frame: r is the successor's
+                # decoded block, delivered through the transfer's link cell.
+                steps = r.steps
+                nsteps = r.nsteps
+                k = 0
             if (
                 signal_active
                 and counts[INSTRS] >= machine._next_signal_at

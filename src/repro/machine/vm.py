@@ -57,7 +57,14 @@ class MachineError(Exception):
 
 
 class Frame:
-    """One activation record."""
+    """One activation record.
+
+    The fast engine keeps one frame per call depth for the direct calls
+    it hands off (``Machine._frame_pool``, rebuilt each run) and resets
+    every field but ``base_addr`` and ``is_signal`` when it reuses one,
+    the way SPARC reuses register windows; every other push makes a
+    fresh frame.  So nothing may hold a frame after it is popped.
+    """
 
     __slots__ = (
         "function",
@@ -68,6 +75,7 @@ class Frame:
         "base_addr",
         "saved_pic",
         "is_signal",
+        "cont",
     )
 
     def __init__(self, function: Function, base_addr: int, ret_reg: Optional[int]):
@@ -80,6 +88,10 @@ class Frame:
         self.saved_pic: Tuple[int, int] = (0, 0)
         #: Pushed by asynchronous signal delivery, not by a call.
         self.is_signal = False
+        #: Where the caller resumes, ``(steps, nsteps, step)`` of its
+        #: decoded block, set by a fast-engine call hand-off so the
+        #: return hands straight back; None for every other frame.
+        self.cont: Optional[tuple] = None
 
 
 class RunResult:
@@ -191,6 +203,12 @@ class Machine:
         #: Call stack, shared with the execution engines (a persistent
         #: list so decoded closures can bind its identity once).
         self._frames: List[Frame] = []
+        #: The fast engine's reusable frames, indexed by call depth
+        #: (see :class:`Frame`); emptied at the start of every run.
+        self._frame_pool: List[Frame] = []
+        #: One-slot cell through which a fast-engine call or return
+        #: closure hands the run loop where to continue.
+        self._handoff: List[Optional[tuple]] = [None]
         self._return_value: Union[int, float, None] = None
         #: (function, block) -> DecodedBlock: the fast engine's decodings
         #: for the current run.
@@ -327,6 +345,7 @@ class Machine:
         self.layout = assign_layout(program)
         self._decoded = {}
         self._dc_miss_paths = None
+        self._frame_pool = []
         frames = self._frames
         frames.clear()
         frame = Frame(entry, self.memory.frame_base(0, self.config.frame_words), None)

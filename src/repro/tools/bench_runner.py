@@ -324,9 +324,9 @@ def measure_instrumented_speed(
     The headline number (``speedup_warm_flow``, the gate in
     ``BENCH_instrumented_speed.json``) is the warm fast-engine speedup
     on the flow-instrumented suite — the mode where every profiling
-    hook fuses into generated code.  Combined mode's per-context path
-    tables (``table == -1``) are runtime calls from generated code, so
-    its speedup reflects fused CCT hooks only.
+    hook fuses into generated code.  Combined mode fuses its CCT hooks
+    and its per-context path commits (``table == -1``) of array specs;
+    only hash specs keep a runtime call from generated code.
     """
     from repro.machine.vm import Machine
 

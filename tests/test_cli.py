@@ -526,18 +526,48 @@ class TestErrors:
                 1,
                 "{src}/s: cannot create store directory",
             ),
+            (
+                [
+                    "profile", "{src}", "1", "--mode", "combined",
+                    "--save", "{missing}/x.cct",
+                ],
+                1,
+                "cannot write CCT {missing}/x.cct: No such file or directory",
+            ),
+            (
+                ["optimize", "{src}", "1", "--report", "{missing}/r.json"],
+                1,
+                "cannot write report {missing}/r.json: No such file or directory",
+            ),
+            (
+                ["optimize", "{src}", "1", "--report", "{dir}"],
+                1,
+                "cannot write report {dir}: Is a directory",
+            ),
         ],
         ids=[
-            "missing-program", "non-integer-arg", "bad-inputs", "log-dir", "store-dir"
+            "missing-program",
+            "non-integer-arg",
+            "bad-inputs",
+            "log-dir",
+            "store-dir",
+            "save-dir",
+            "report-dir",
+            "report-is-dir",
         ],
     )
     def test_bad_input_is_one_line_error(
         self, argv, status, message, source_file, tmp_path, capsys
     ):
         """A missing program, a non-integer argument or input set, and a
-        log or store path that cannot be written each fail before any
-        run, as one ``error:`` line naming the offending value."""
-        paths = {"src": source_file, "missing": str(tmp_path / "missing")}
+        log, store, CCT or report path that cannot be written each fail
+        before any run, as one ``error:`` line naming the offending
+        value."""
+        paths = {
+            "src": source_file,
+            "missing": str(tmp_path / "missing"),
+            "dir": str(tmp_path),
+        }
         argv = [arg.format(**paths) for arg in argv]
         try:
             code = main(argv)

@@ -7,7 +7,9 @@ key-compare load plus three charged instructions (hash multiply, mask,
 compare), and distinct indices can collide into one bucket's simulated
 slot.  The fast engine never fuses hash-table hooks — its segment code
 makes the simple engine's own runtime call for them — so both engines
-must drive the exact same traffic.
+must drive the exact same traffic.  The combined mode's per-context
+commits follow the function's table spec the same way: fused for an
+array spec, the runtime call for a hash spec.
 """
 
 from repro.instrument.pathinstr import instrument_paths
@@ -130,6 +132,108 @@ def test_fast_engine_never_fuses_hash_tables():
     ]
     assert hooks
     assert all(_fuse_plan(machine, instr) is None for instr in hooks)
+
+
+def _combined_source():
+    """``main`` calls ``few`` (2 paths, an array spec) and ``many`` (the
+    14-diamond function, a hash spec) from two sites each, so each
+    function collects paths in two calling contexts."""
+    many = _many_path_source().replace("func main(1)", "func many(1)")
+    return (
+        """
+func main(1) regs=4 {
+entry:
+    call r1, many(r0)
+    call r2, few(r0)
+    add r3, r1, r2
+    call r1, few(r3)
+    call r2, many(r3)
+    add r3, r3, r1
+    add r3, r3, r2
+    ret r3
+}
+func few(1) regs=2 {
+entry:
+    and r1, r0, 1
+    cbr r1, odd, even
+odd:
+    ret 1
+even:
+    ret 2
+}
+"""
+        + many
+    )
+
+
+def test_fast_engine_fuses_array_spec_context_commits():
+    """In the combined mode, per-context commits (``table == -1``) fuse
+    when the function's spec is an array, and a function beyond the
+    array limit keeps the runtime call; both engines then build the same
+    per-record tables at the same CCT heap addresses, with the same
+    counts, CCT, counters and simulated memory."""
+    from repro.cct.merge import strict_form
+    from repro.machine.engine import _fuse_plan
+    from repro.tools.pp import PP
+
+    pp = PP(engine="fast")
+    spec = pp.spec("context_flow")
+    inst = pp.session.instrument(spec, parse_program(_combined_source()))
+    machine = Machine(inst.program, engine="fast")
+    machine.path_runtime, machine.cct_runtime = inst.runtimes()
+    specs = machine.path_runtime.specs
+    assert specs["few"][2] is TableKind.ARRAY
+    assert specs["many"][2] is TableKind.HASH
+    for name in ("few", "many"):
+        commits = [
+            instr
+            for block in inst.program.functions[name].blocks
+            for instr in block.instrs
+            if instr.kind == Kind.PATH_COMMIT
+        ]
+        assert commits and all(c.table == ProfilingRuntime.CONTEXT_TABLE for c in commits)
+        plans = [_fuse_plan(machine, c, name) for c in commits]
+        if name == "few":
+            assert all(plan is not None for plan in plans)
+        else:
+            assert all(plan is None for plan in plans)
+
+    facts = {}
+    for engine in ("simple", "fast"):
+        pp = PP(engine=engine)
+        program = parse_program(_combined_source())
+        run = pp.run(pp.spec("context_flow"), program, (0b1011001110001,))
+        assert run.machine.engine == engine
+        tables = [
+            (
+                record.id,
+                record.addr,
+                name,
+                table.kind,
+                table.base,
+                table.capacity,
+                dict(table.counts),
+                table.out_of_range,
+            )
+            for record in run.cct.records
+            for name, table in record.path_tables.items()
+        ]
+        facts[engine] = (
+            tables,
+            strict_form(run.cct),
+            run.result.counters,
+            run.result.region_misses,
+            run.return_value,
+            # Simulated memory: each counter word at its slot address.
+            dict(run.machine.memory._store),
+        )
+    assert facts["simple"] == facts["fast"]
+    kinds = [(name, kind) for _, _, name, kind, *_ in facts["fast"][0]]
+    assert sorted(kinds, key=str) == sorted(
+        [("main", TableKind.ARRAY)]
+        + [("few", TableKind.ARRAY), ("many", TableKind.HASH)] * 2,  # two contexts
+        key=str,
+    )
 
 
 def test_hash_table_profiles_identical_across_engines():

@@ -162,16 +162,41 @@ def test_engines_agree_under_sharding(name):
     assert strict_form(simple.cct) == strict_form(fast.cct), f"{name}/sharded: cct"
 
 
-@pytest.mark.parametrize("value", [42, 0])
-@pytest.mark.parametrize("mode", ["baseline", "flow_hw", "context_hw", "context_flow"])
-def test_engines_agree_on_setjmp_longjmp(mode, value):
-    """A longjmp that unwinds two frames back to a setjmp resume point:
-    counters, interrupted path commits and the CCT unwind all agree."""
-    program = parse_program(
-        test_machine_vm.TestSetjmpLongjmp.ASM.replace(
-            "longjmp r0, 42", f"longjmp r0, {value}"
-        )
-    )
+#: The caught arm calls again at the depth the longjmp unwound, so the
+#: fast engine reuses ``thrower``'s frame for ``leaf``, which reads
+#: ``r3``, written there only by ``thrower``, and must see 0.
+_UNWIND_THEN_CALL_ASM = """
+func main(0) regs=8 {
+entry:
+    setjmp r0, r1
+    cbr r0, caught, try
+try:
+    call r2, thrower(r1)
+    ret 0
+caught:
+    call r3, leaf(r0)
+    ret r3
+}
+func thrower(1) regs=4 {
+entry:
+    const r3, 5
+    call r1, deeper(r0)
+    ret r1
+}
+func deeper(1) regs=4 {
+entry:
+    longjmp r0, 42
+}
+func leaf(1) regs=4 {
+entry:
+    add r1, r0, r3
+    ret r1
+}
+"""
+
+
+def _assert_longjmp_agrees(asm, mode, value):
+    program = parse_program(asm.replace("longjmp r0, 42", f"longjmp r0, {value}"))
     simple, fast = (
         _run_mode(PP(engine=name), mode, {}, program) for name in ("simple", "fast")
     )
@@ -179,10 +204,26 @@ def test_engines_agree_on_setjmp_longjmp(mode, value):
     assert fast.return_value == (value or 1)
 
 
-def _fault_facts(program, engine_name, config=None):
+@pytest.mark.parametrize("value", [42, 0])
+@pytest.mark.parametrize("mode", ["baseline", "flow_hw", "context_hw", "context_flow"])
+def test_engines_agree_on_setjmp_longjmp(mode, value):
+    """A longjmp that unwinds two frames back to a setjmp resume point:
+    counters, interrupted path commits and the CCT unwind all agree."""
+    _assert_longjmp_agrees(test_machine_vm.TestSetjmpLongjmp.ASM, mode, value)
+
+
+@pytest.mark.parametrize("value", [42, 0])
+@pytest.mark.parametrize("mode", ["baseline", "flow_hw", "context_hw", "context_flow"])
+def test_engines_agree_on_call_after_longjmp(mode, value):
+    """The same unwind through directly called frames, then a call at
+    the unwound depth and its return."""
+    _assert_longjmp_agrees(_UNWIND_THEN_CALL_ASM, mode, value)
+
+
+def _fault_facts(program, engine_name, config=None, error=MachineError):
     """The fault message and the machine state at the raise."""
     machine = Machine(program, config, engine=engine_name)
-    with pytest.raises(MachineError) as raised:
+    with pytest.raises(error) as raised:
         machine.run()
     return str(raised.value), machine.counters.snapshot(), dict(machine.region_misses)
 
@@ -235,28 +276,68 @@ def _cct_without_runtime():
     return program
 
 
+def _too_many_args_program():
+    return parse_program(
+        """
+        func main(0) regs=2 {
+        entry:
+            const r0, 1
+            call r1, one(r0, r0)
+            ret r1
+        }
+        func one(1) regs=2 {
+        entry:
+            ret r0
+        }
+        """
+    )
+
+
 @pytest.mark.parametrize(
-    "build, config, message",
+    "build, config, error, message",
     [
         (
             _paths_without_runtime,
             None,
+            MachineError,
             "program contains path/edge instrumentation but no profiling runtime",
         ),
         (
             _cct_without_runtime,
             None,
+            MachineError,
             "program contains CCT instrumentation but no CCT runtime",
         ),
-        (_bad_icall_program, None, "indirect call through bad index 9"),
-        (_recursive_program, MachineConfig(max_call_depth=32), "call stack overflow"),
+        (_bad_icall_program, None, MachineError, "indirect call through bad index 9"),
+        (
+            _recursive_program,
+            MachineConfig(max_call_depth=32),
+            MachineError,
+            "call stack overflow",
+        ),
+        # 32 frames of 64 KB fill the stack region long before the
+        # depth limit: the call past them is the memory fault.
+        (
+            _recursive_program,
+            MachineConfig(frame_words=1 << 16),
+            MemoryError,
+            "simulated stack exhausted",
+        ),
+        (_too_many_args_program, None, MachineError, "main: too many args for one"),
     ],
-    ids=["no-path-runtime", "no-cct-runtime", "bad-icall", "call-depth"],
+    ids=[
+        "no-path-runtime",
+        "no-cct-runtime",
+        "bad-icall",
+        "call-depth",
+        "stack-exhausted",
+        "too-many-args",
+    ],
 )
-def test_engines_agree_on_faults(build, config, message):
+def test_engines_agree_on_faults(build, config, error, message):
     """Both engines raise the same fault with the same counters."""
-    simple = _fault_facts(build(), "simple", config)
-    fast = _fault_facts(build(), "fast", config)
+    simple = _fault_facts(build(), "simple", config, error)
+    fast = _fault_facts(build(), "fast", config, error)
     assert simple == fast
     assert simple[0].startswith(message)
 
@@ -291,3 +372,141 @@ def test_closure_handlers_only_change_frames(monkeypatch):
                 for block in function.blocks:
                     machine._decoded_block(function, block.name)
     assert built and set(built) <= FRAME_KINDS, sorted(set(built) - FRAME_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# Call and return hand-offs: a direct call's frame comes from a per-depth
+# pool and both transfers skip the block lookup, so every path around
+# them must still match the simple engine.
+# ---------------------------------------------------------------------------
+
+
+def _run_both(program, **signal):
+    """The simple engine's result, once the fast engine's matches it in
+    counters, region misses, return value and signals delivered."""
+    results, facts = [], []
+    for engine_name in ("simple", "fast"):
+        machine = Machine(program, engine=engine_name)
+        if signal:
+            machine.install_signal(**signal)
+        result = machine.run()
+        results.append(result)
+        facts.append(
+            (
+                result.counters,
+                result.region_misses,
+                result.return_value,
+                machine.signals_delivered,
+            )
+        )
+    assert facts[0] == facts[1]
+    return results[0]
+
+
+def test_reused_frame_starts_with_zeroed_registers():
+    """Sibling calls run at one depth, where the fast engine reuses the
+    frame: ``clean`` reads a register only ``dirty`` ever wrote, and
+    must see 0 every time."""
+    program = parse_program(
+        """
+        func main(0) regs=6 {
+        entry:
+            const r4, 0
+            const r5, 0
+            br loop
+        loop:
+            call r0, dirty(r4)
+            call r1, clean()
+            add r5, r5, r1
+            add r4, r4, 1
+            lt r2, r4, 3
+            cbr r2, loop, out
+        out:
+            ret r5
+        }
+        func dirty(1) regs=8 {
+        entry:
+            const r3, 99
+            const r7, 5
+            ret r3
+        }
+        func clean(0) regs=4 {
+        entry:
+            ret r3
+        }
+        """
+    )
+    assert _run_both(program).return_value == 0
+
+
+#: ``f`` stores 7 into global 0; the first signal handler run copies
+#: global 0 plus one into global 1, which ``main`` returns after the
+#: call.  The value ``main`` returns pins where the first signal landed:
+#: 1 before ``f`` ran, 8 after it returned, 0 when none came in time.
+_SIGNAL_ASM = """
+program entry=main globals=2
+func main(0) regs=4 {
+entry:
+    call r0, f()
+    const r1, 65536
+    load r2, [r1+8]
+    ret r2
+}
+func f(0) regs=4 {
+entry:
+    const r1, 65536
+    const r2, 7
+    store r2, [r1+0]
+    ret r2
+}
+func tick(0) regs=4 {
+entry:
+    const r1, 65536
+    load r3, [r1+8]
+    cbr r3, done, first
+first:
+    load r2, [r1+0]
+    add r2, r2, 1
+    store r2, [r1+8]
+    br done
+done:
+    ret 0
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "period, landed",
+    [(1, 1), (5, 8)],
+    ids=["after-call-handoff", "after-return-handoff"],
+)
+def test_engines_agree_on_signal_after_handoff(period, landed):
+    """A signal falling due on the segment a call hands off to is
+    delivered before the callee's first instruction, and one falling
+    due on the segment a return hands back to before the caller
+    resumes, exactly where the simple engine takes them."""
+    program = parse_program(_SIGNAL_ASM)
+    assert _run_both(program, handler="tick", period=period).return_value == landed
+
+
+def test_tracer_runs_keep_the_oracle_exact():
+    """With a tracer attached every call and return takes the slow
+    path, which reports each enter, exit and block: the oracle's path
+    counts on the fast engine equal the simple engine's and the
+    instrumented program's."""
+    from repro.profiles.oracle import PathOracle
+
+    flow = instrument_paths(build_workload("130.li", SCALE), mode="freq")
+    numberings = {name: info.numbering for name, info in flow.functions.items()}
+    oracles = {}
+    for engine_name in ("simple", "fast"):
+        machine = Machine(build_workload("130.li", SCALE), engine=engine_name)
+        machine.tracer = oracles[engine_name] = PathOracle(numberings)
+        machine.run()
+    machine = Machine(flow.program, engine="fast")
+    machine.path_runtime = flow.runtime
+    machine.run()
+    for name in flow.functions:
+        counts = oracles["fast"].function_counts(name)
+        assert counts == oracles["simple"].function_counts(name), name
+        assert counts == flow.path_counts(name), name
