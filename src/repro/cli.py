@@ -6,10 +6,11 @@ Commands:
 * ``profile FILE`` — the unified driver: any :data:`repro.session.MODES`
   configuration through the one ``ProfileSession`` pipeline
   (``--mode flow``: hot paths with HW metrics; ``--mode context``: the
-  CCT with metrics; ``--mode combined``: paths per calling context,
-  optionally saving the CCT), with ``--log`` appending structured
-  phase events (clone/instrument/machine/run/collect, wall-time each)
-  as JSONL;
+  CCT with metrics; ``--mode combined``: paths per calling context;
+  the two CCT modes also render the CCT with ``--tree``/``--dot`` and
+  save it with ``--save``, which other modes refuse), with ``--log``
+  appending structured phase events (clone/instrument/machine/run/
+  collect, wall-time each) as JSONL;
 * ``coverage FILE`` — path coverage with untested paths;
 * ``shard-run FILE`` — split an input set across forked workers and
   merge the per-shard profiles into one aggregate; checkpoints, a run
@@ -34,11 +35,12 @@ Commands:
 compiled as mini-language source.  Program arguments are integers
 passed to ``main``.
 
-A usage error (an unknown verb or flag, a non-integer argument) is one
-``error:`` line on stderr and exit code 2; a failure the command meets
-(a malformed program, an unreadable program file, an unwritable
-``--log``, ``--store``, ``--save`` or ``--report`` path, a simulated
-fault) is one ``error:`` line and exit code 1, except that ``diff``,
+A usage error (an unknown verb or flag, a non-integer argument, a CCT
+flag in a mode that builds no CCT) is one ``error:`` line on stderr and
+exit code 2; a failure the command meets (a malformed program, an
+unreadable program file, an unwritable ``--log``, ``--store``,
+``--save`` or ``--report`` path, a simulated fault, a damaged store or
+run manifest) is one ``error:`` line and exit code 1, except that ``diff``,
 ``ci`` and ``optimize`` exit 2 on store errors.  Paths the command
 writes are checked before the run, so an unwritable one costs no run.
 """
@@ -253,16 +255,19 @@ def _report_flow_freq(run, args) -> int:
     return 0
 
 
-def _report_context(run, args) -> int:
-    from repro.cct.stats import cct_statistics
+def _render_cct(run, args) -> int:
     from repro.render import render_cct_ascii, render_cct_dot
 
-    if args.dot:
-        print(render_cct_dot(run.cct.root, metric=1))
-        return 0
-    if args.tree:
-        print(render_cct_ascii(run.cct.root, metric=1))
-        return 0
+    render = render_cct_dot if args.dot else render_cct_ascii
+    # Combined mode keeps the PIC metrics per path, so its records carry
+    # only the call count (metric 0); context mode shows PIC0.
+    print(render(run.cct.root, metric=0 if run.flow is not None else 1))
+    return 0
+
+
+def _report_context(run, args) -> int:
+    from repro.cct.stats import cct_statistics
+
     rows = []
     for record in run.cct.records:
         if record is run.cct.root:
@@ -286,7 +291,6 @@ def _report_context(run, args) -> int:
 
 
 def _report_combined(run, args) -> int:
-    from repro.cct.serialize import save_cct
     from repro.cct.stats import cct_statistics
 
     rows = []
@@ -307,9 +311,6 @@ def _report_combined(run, args) -> int:
         f"\none-path call sites: {stats.call_sites_one_path} of "
         f"{stats.call_sites_used} used"
     )
-    if args.save:
-        save_cct(run.cct, args.save)
-        print(f"CCT written to {args.save}")
     return 0
 
 
@@ -335,12 +336,23 @@ def cmd_profile(args) -> int:
     """The unified driver: every profiling mode runs through here."""
     from dataclasses import replace
 
+    from repro.cct.serialize import save_cct
+
     mode = _PROFILE_MODES[args.mode]
+    spec = _build_spec(mode, args)
+    if not spec.needs_context:
+        for flag in ("save", "tree", "dot"):
+            if getattr(args, flag):
+                print(
+                    f"error: --{flag} needs a mode that builds a CCT "
+                    f"(context or combined), not {args.mode}",
+                    file=sys.stderr,
+                )
+                return 2
     program = _load_program(args.file)
     if args.save:
         _check_output(args.save, "CCT")
     session = _make_session(args)
-    spec = _build_spec(mode, args)
     run_args = args.args
     store = None
     if args.store:
@@ -365,7 +377,12 @@ def cmd_profile(args) -> int:
             "context_flow": _report_combined,
             "edge": _report_edges,
         }[mode]
+        if args.tree or args.dot:
+            report = _render_cct
         status = report(run, args)
+    if args.save:
+        save_cct(run.cct, args.save)
+        print(f"CCT written to {args.save}")
     if run.stored_as is not None:
         print(f"\nstored as {run.stored_as[:12]} in {args.store}")
     return status
@@ -894,9 +911,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="site-insensitive CCT (smaller, less precise; §4.1)",
     )
-    profile.add_argument("--tree", action="store_true", help="ASCII tree")
-    profile.add_argument("--dot", action="store_true", help="Graphviz DOT")
-    profile.add_argument("--save", help="write the CCT to this file")
+    profile.add_argument(
+        "--tree", action="store_true", help="ASCII CCT (context and combined modes)"
+    )
+    profile.add_argument(
+        "--dot", action="store_true", help="Graphviz DOT CCT (context and combined modes)"
+    )
+    profile.add_argument(
+        "--save", help="write the CCT to this file (context and combined modes)"
+    )
     profile.add_argument(
         "--log",
         help="append structured JSONL phase events (wall-time per phase) here",

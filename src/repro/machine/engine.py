@@ -44,14 +44,14 @@ this engine compiles each basic block once per run:
   calls, returns and longjmp — get a closure handler, one per
   instruction with operands and callee records bound at decode time.
   It holds the frame change alone; the segment fetches the
-  instruction, flushes its costs and then returns through it.  A
-  direct call below the deepest legal frame hands off the way a branch
+  instruction, flushes its costs and then returns through it.  Every
+  call, direct or indirect, traced or not, hands off the way a branch
   does: it pushes the frame of its depth from a per-run pool (reset,
-  with fresh zeroed registers), hands the run loop the callee's entry
-  decoding through a per-site cell, and records on the new frame where
-  the caller resumes, which the return hands straight back.  Indirect
-  calls, tracers, signal frames, longjmp and calls that fault take the
-  slow path, whose top frame the run loop looks up in full;
+  with fresh zeroed registers), hands the run loop the entry decoding
+  of the last callee its site reached, and records on the new frame
+  where the caller resumes, which the return hands straight back.
+  Only a signal handler's or the entry frame's return, and longjmp,
+  leave the run loop to look the new top frame up in full;
 * block-static work is hoisted out of the inner loop: per-run
   ``IC_REF``/``INSTRS``/``CYCLES``/``FP_STALL`` increments are batched
   into partial sums flushed before the next counter *observer*, and the
@@ -268,11 +268,11 @@ class DecodedBlock:
 # Closure handlers: calls, returns and longjmp (one per instruction).
 # Segment code has already fetched the instruction and flushed its
 # costs, so a closure holds only the frame-stack change.  Control always
-# transfers, so each returns True.  A direct call and a return may also
-# hand off: they leave ``(steps, nsteps, step)`` of where the new top
-# frame continues in ``machine._handoff``, and the run loop goes there
-# without looking the block up; a closure that leaves it empty asks for
-# that lookup.
+# transfers, so each returns True.  A call and the return from a call's
+# frame hand off: they leave ``(steps, nsteps, step)`` of where the new
+# top frame continues in ``machine._handoff``, and the run loop goes
+# there without looking the block up; a closure that leaves it empty
+# asks for that lookup.
 # ---------------------------------------------------------------------------
 
 
@@ -293,7 +293,6 @@ def _make_handler(machine, instr, next_index: int, fname: str):
     handoff = machine._handoff
 
     if kind == Kind.CALL or kind == Kind.ICALL:
-        frame_base = machine.memory.frame_base
         frame_words = machine.config.frame_words
         max_call_depth = machine.config.max_call_depth
         dst, site, args = instr.dst, instr.site, instr.args
@@ -304,84 +303,73 @@ def _make_handler(machine, instr, next_index: int, fname: str):
         reg_args = tuple(
             (pos, a) for pos, a in enumerate(args) if a.__class__ is not Imm
         )
-        if kind == Kind.CALL:
-            callee = functions.get(instr.callee)
-            callee_name = instr.callee
-            table = None
-            func_reg = None
-        else:
-            callee = None
-            callee_name = None
-            table = machine.program.function_table
-            func_reg = instr.func
-
-        def slow(frame):
-            if callee is not None:
-                target = callee
-            elif table is None:
-                raise MachineError(f"call to unknown {callee_name!r}")
-            else:
-                findex = frame.regs[func_reg]
-                if not 0 <= findex < len(table):
-                    raise MachineError(f"indirect call through bad index {findex!r}")
-                target = functions[table[findex]]
-            if len(frames) >= max_call_depth:
-                raise MachineError("call stack overflow")
-            if nargs > target.num_params:
-                raise MachineError(f"{fname}: too many args for {target.name}")
-            frame.index = next_index
-            new_frame = Frame(target, frame_base(len(frames), frame_words), dst)
-            new_regs = new_frame.regs
-            for pos, value in imm_args:
-                new_regs[pos] = value
-            regs = frame.regs
-            for pos, reg in reg_args:
-                new_regs[pos] = regs[reg]
-            frames.append(new_frame)
-            machine.depth = len(frames)
-            tracer = machine.tracer
-            if tracer is not None:
-                tracer.on_enter(target.name, site)
-                tracer.on_block(target.name, new_frame.block_name)
-            return True
-
-        if callee is None or nargs > callee.num_params:
-            return slow
-
-        # A direct call whose callee and arguments fit hands off.  Below
-        # ``limit`` neither the depth check nor the stack check can
-        # fail, so the frame base is computed here; at the limit the
-        # slow path raises exactly as it would have.
+        # Below ``limit`` neither the depth check nor the stack check can
+        # fail, so the frame comes from the pool.  ``room`` is ``limit``
+        # for a callee that takes the call's arguments and 0 for one that
+        # takes fewer, so a call past the room faults and raises what the
+        # simple engine raises, in its order.
+        frame_base = machine.memory.frame_base
         stack = machine.memory.stack
         frame_bytes = frame_words * WORD
         limit = min(max_call_depth, stack.size // frame_bytes)
         stack_base = stack.base
         pool = machine._frame_pool
-        entry_name = callee.entry.name
-        nregs = callee.num_regs
-        entry_cell = [None]
-        cont_cell = [None]
+
+        # The last callee this site reached and what a push needs of it:
+        # a direct call's is fixed, an indirect call refills it when its
+        # target changes.
+        if kind == Kind.CALL:
+            target = functions.get(instr.callee)
+            if target is None:
+                callee_name = instr.callee
+
+                def unknown(frame):
+                    raise MachineError(f"call to unknown {callee_name!r}")
+
+                return unknown
+            entry_name, nregs = target.entry.name, target.num_regs
+            room = limit if nargs <= target.num_params else 0
+            table = func_reg = None
+        else:
+            target = entry_name = None
+            nregs = room = 0
+            table = machine.program.function_table
+            func_reg = instr.func
+        entry = cont = None
 
         def step(frame):
+            nonlocal target, entry, entry_name, nregs, room, cont
+            if table is not None:
+                findex = frame.regs[func_reg]
+                if not 0 <= findex < len(table):
+                    raise MachineError(f"indirect call through bad index {findex!r}")
+                callee = functions[table[findex]]
+                if callee is not target:
+                    target = callee
+                    entry = None
+                    entry_name, nregs = callee.entry.name, callee.num_regs
+                    room = limit if nargs <= callee.num_params else 0
             depth = len(frames)
-            if depth >= limit or machine.tracer is not None:
-                return slow(frame)
-            entry = entry_cell[0]
+            if depth >= room:
+                if depth >= max_call_depth:
+                    raise MachineError("call stack overflow")
+                if nargs > target.num_params:
+                    raise MachineError(f"{fname}: too many args for {target.name}")
+                frame_base(depth, frame_words)  # raises: the stack is full
             if entry is None:
-                entry = entry_cell[0] = _continuation(machine, callee, entry_name, 0)
-            cont = cont_cell[0]
-            if cont is None:
-                cont = cont_cell[0] = _continuation(
-                    machine, frame.function, frame.block_name, next_index
-                )
+                entry = _continuation(machine, target, entry_name, 0)
+                if cont is None:
+                    cont = _continuation(
+                        machine, frame.function, frame.block_name, next_index
+                    )
             frame.index = next_index
             try:
                 new_frame = pool[depth]
             except IndexError:
                 while len(pool) <= depth:
-                    pool.append(Frame(callee, stack_base + len(pool) * frame_bytes, dst))
+                    pool.append(Frame(target, stack_base + len(pool) * frame_bytes, dst))
                 new_frame = pool[depth]
-            new_frame.function = callee
+            new_frame.function = target
             new_frame.regs = new_regs = [0] * nregs
             new_frame.block_name = entry_name
             new_frame.index = 0
@@ -395,6 +383,10 @@ def _make_handler(machine, instr, next_index: int, fname: str):
                 new_regs[pos] = regs[reg]
             frames.append(new_frame)
             machine.depth = depth + 1
+            tracer = machine.tracer
+            if tracer is not None:
+                tracer.on_enter(target.name, site)
+                tracer.on_block(target.name, entry_name)
             handoff[0] = entry
             return True
 
@@ -414,27 +406,26 @@ def _make_handler(machine, instr, next_index: int, fname: str):
                 value = frame.regs[rv]
             frames.pop()
             machine.depth = len(frames)
+            tracer = machine.tracer
             cont = frame.cont
-            if cont is not None and machine.tracer is None:
-                # A handed-off call's frame: never a signal frame, and
-                # its caller is the new top frame.
+            if cont is not None:
+                # A call's frame: its caller is the new top frame.
+                if tracer is not None:
+                    tracer.on_exit(fname, value)
                 if frame.ret_reg is not None:
                     frames[-1].regs[frame.ret_reg] = 0 if value is None else value
                 handoff[0] = cont
                 return True
+            # The entry frame or a signal handler's.
             if frame.is_signal:
                 machine._signal_depth -= 1
                 machine._next_signal_at = counts[_INSTRS] + machine._signal_period
                 if machine.cct_runtime is not None:
                     machine.cct_runtime.on_signal_return(machine)
-            tracer = machine.tracer
             if tracer is not None:
                 tracer.on_exit(fname, value)
             if not frames:
                 machine._return_value = value
-            else:
-                if frame.ret_reg is not None and not frame.is_signal:
-                    frames[-1].regs[frame.ret_reg] = 0 if value is None else value
             return True
 
         return step
@@ -1456,7 +1447,7 @@ def execute(machine):
             r = steps[k](frame)
             if r is True:
                 # Call, return, or longjmp: the top frame changed.  A
-                # direct call or a return left where it continues in
+                # call or a return to a caller left where it continues in
                 # the hand-off cell; anything else needs the full lookup.
                 cont = handoff[0]
                 if cont is None:

@@ -59,11 +59,11 @@ class MachineError(Exception):
 class Frame:
     """One activation record.
 
-    The fast engine keeps one frame per call depth for the direct calls
-    it hands off (``Machine._frame_pool``, rebuilt each run) and resets
+    The fast engine pushes every call's frame from a pool of one frame
+    per call depth (``Machine._frame_pool``, rebuilt each run) and resets
     every field but ``base_addr`` and ``is_signal`` when it reuses one,
-    the way SPARC reuses register windows; every other push makes a
-    fresh frame.  So nothing may hold a frame after it is popped.
+    the way SPARC reuses register windows; only the entry and signal
+    frames are made fresh.  So nothing may hold a frame after it is popped.
     """
 
     __slots__ = (
@@ -89,8 +89,8 @@ class Frame:
         #: Pushed by asynchronous signal delivery, not by a call.
         self.is_signal = False
         #: Where the caller resumes, ``(steps, nsteps, step)`` of its
-        #: decoded block, set by a fast-engine call hand-off so the
-        #: return hands straight back; None for every other frame.
+        #: decoded block, set by every fast-engine call so the return
+        #: hands straight back; None for the entry and signal frames.
         self.cont: Optional[tuple] = None
 
 

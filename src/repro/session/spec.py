@@ -9,9 +9,10 @@ value.  A spec is pure data: it names *what* to profile, never holds
 programs, machines, or runtime tables — :class:`repro.session.session.
 ProfileSession` turns a spec into a run.
 
-Validation happens at construction: an unknown mode or placement is a
+Validation happens at construction: an unknown mode or placement, or a
+field of the wrong type (say, from a hand-edited manifest), is a
 :class:`ProfileSpecError` the moment the spec is built, not a silent
-fallback deep inside a worker process.
+fallback or a ``TypeError`` deep inside a worker process.
 """
 
 from __future__ import annotations
@@ -57,7 +58,18 @@ LABELS = {
 
 
 class ProfileSpecError(ValueError):
-    """A profiling spec is malformed (unknown mode, placement, event)."""
+    """A profiling spec is malformed (unknown mode, placement or event, a
+    field of the wrong type)."""
+
+
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: ``True`` and ``False`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, item_ok) -> bool:
+    """Is ``value`` a list or tuple whose every item passes ``item_ok``?"""
+    return isinstance(value, (list, tuple)) and all(item_ok(item) for item in value)
 
 
 def _coerce_event(value, name: str) -> Event:
@@ -124,15 +136,29 @@ class ProfileSpec:
         object.__setattr__(
             self, "pic1_event", _coerce_event(self.pic1_event, "pic1_event")
         )
+        for flag in ("by_site", "read_at_backedges"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ProfileSpecError(
+                    f"{flag} must be true or false, got {getattr(self, flag)!r}"
+                )
         if self.functions is not None:
+            if not _is_list_of(self.functions, lambda name: isinstance(name, str)):
+                raise ProfileSpecError(
+                    f"functions must be a list of function names or null, "
+                    f"got {self.functions!r}"
+                )
             object.__setattr__(self, "functions", tuple(self.functions))
+        if not _is_list_of(self.inputs, lambda args: _is_list_of(args, _is_int)):
+            raise ProfileSpecError(
+                f"inputs must be a list of integer argument lists, got {self.inputs!r}"
+            )
         object.__setattr__(
             self, "inputs", tuple(tuple(args) for args in self.inputs)
         )
         if self.mode == "kflow":
             if self.k is None:
                 object.__setattr__(self, "k", 1)
-            if not isinstance(self.k, int) or isinstance(self.k, bool):
+            if not _is_int(self.k):
                 raise ProfileSpecError(
                     f"k must be an integer >= 1 for kflow mode, got {self.k!r}"
                 )

@@ -16,11 +16,11 @@ Every artifact — the run record itself, the CCT dump, the flat path
 and edge profiles — is a blob named by the SHA-256 of its bytes, so
 storage is deduplicating and idempotent: re-saving an identical run
 writes nothing and returns the same run id.  Writes go through the
-PR 4 tmp-file + rename machinery (:mod:`repro.store.iojson`), reads
-re-verify the content digest with
-:func:`repro.cct.serialize.file_digest` — a truncated or tampered
-blob is a typed :class:`StoreError` naming the path, never a silently
-wrong profile.
+tmp-file + rename machinery (:mod:`repro.store.iojson`); reads, and
+writes that find their blob already present, re-verify the content
+digest with :func:`repro.cct.serialize.file_digest` — a truncated or
+tampered blob is a typed :class:`StoreError` naming the path, never a
+silently wrong profile or a save reported done on a damaged blob.
 
 Writers may share a store: each index update (read, append, rewrite)
 runs under an exclusive ``flock`` on ``index.lock``, so concurrent
@@ -136,7 +136,9 @@ class ProfileStore:
     def _put_bytes(self, data: bytes) -> str:
         digest = hashlib.sha256(data).hexdigest()
         path = self._object_path(digest)
-        if not os.path.exists(path):
+        if os.path.exists(path):
+            self._get_blob(digest, "stored")
+        else:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             tmp = f"{path}.tmp.{os.getpid()}"
             try:

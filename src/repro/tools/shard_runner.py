@@ -28,10 +28,12 @@ a shard's checkpoint is a pure function of the spec and its input
 chunk, so :func:`resume_run` can re-execute only the missing or
 corrupt shards of a crashed run and still converge to the byte-
 identical serial result — recomputing a shard can never change what
-it contributes.  ``tests/test_shard_runner.py`` pins the equivalence
-for ``N ∈ {1, 2, 4}``; ``tests/test_shard_faults.py`` pins it under
-injected worker kills, hangs, and truncated dumps
-(:mod:`repro.tools.faults`).
+it contributes.  Each checkpoint records a digest of the program and
+profiling spec it was made for, and its input indices, so one that no
+longer matches the manifest (say, after an edit) is re-executed too.
+``tests/test_shard_runner.py`` pins the equivalence for ``N ∈ {1, 2,
+4}``; ``tests/test_shard_faults.py`` pins it under injected worker
+kills, hangs, and truncated dumps (:mod:`repro.tools.faults`).
 
 Every run appends shard start/exit/retry/merge events to a JSONL run
 log (:mod:`repro.tools.runlog`) in the working directory; workers
@@ -66,6 +68,8 @@ from repro.profiles.pathprofile import (
     collect_path_profile,
 )
 from repro.session import ProfileSession, ProfileSpec, ProfileSpecError
+from repro.session.spec import _is_int
+from repro.store.iojson import json_digest as _json_digest
 from repro.store.iojson import payload_digest as _payload_digest
 from repro.store.iojson import write_json_atomic as _write_json_atomic
 from repro.tools.bench_runner import run_supervised
@@ -89,6 +93,10 @@ LOG_NAME = "run.log.jsonl"
 
 #: Exponential backoff between retry waves is capped here (seconds).
 MAX_BACKOFF = 2.0
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 class ShardCheckpointError(ValueError):
@@ -128,6 +136,8 @@ class ShardSpec:
     ``main``.  The legacy keyword arguments (``inputs``, ``mode``,
     ``engine``, ``placement``, ``by_site``) still construct (or
     override) the embedded spec, and read back through properties.
+    A field of the wrong type or range is a
+    :class:`~repro.session.ProfileSpecError` at construction.
 
     ``retries``/``timeout``/``backoff`` are the fault-tolerance knobs:
     each shard may be re-executed up to ``retries`` extra times after
@@ -191,13 +201,20 @@ class ShardSpec:
             )
         named = [x is not None for x in (workload, source, asm)]
         if sum(named) != 1:
-            raise ValueError("specify exactly one of workload/source/asm")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+            raise ProfileSpecError("specify exactly one of workload/source/asm")
+        for name, text in (("workload", workload), ("source", source), ("asm", asm)):
+            if text is not None and not isinstance(text, str):
+                raise ProfileSpecError(f"{name} must be a string, got {text!r}")
+        if not _is_number(scale) or scale <= 0:
+            raise ProfileSpecError(f"scale must be a positive number, got {scale!r}")
+        if not _is_int(retries) or retries < 0:
+            raise ProfileSpecError(f"retries must be an integer >= 0, got {retries!r}")
+        if not _is_number(backoff) or backoff < 0:
+            raise ProfileSpecError(f"backoff must be a number >= 0, got {backoff!r}")
+        if timeout is not None and (not _is_number(timeout) or timeout <= 0):
+            raise ProfileSpecError(
+                f"timeout must be a positive number or null, got {timeout!r}"
+            )
         object.__setattr__(self, "workload", workload)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "source", source)
@@ -324,11 +341,21 @@ def _cct_dump_path(workdir: str, shard: int) -> str:
     return os.path.join(workdir, f"shard{shard}.cct.json")
 
 
-def _load_checkpoint(workdir: str, shard: int) -> dict:
+def _work_digest(spec: ShardSpec) -> str:
+    """Digest of what a shard profiles: the program and the profiling
+    spec with its input set, not the retry knobs."""
+    raw = spec_to_json(spec)
+    return _json_digest(
+        {key: raw[key] for key in ("workload", "scale", "source", "asm", "profile")}
+    )
+
+
+def _load_checkpoint(workdir: str, shard: int, spec: ShardSpec, shards: int) -> dict:
     """Load and integrity-check one shard's result checkpoint.
 
     Returns the result payload; raises :class:`ShardCheckpointError`
-    (result file missing/corrupt) or lets
+    (result file missing/corrupt, or written for another program,
+    profile or input split than ``spec`` over ``shards``) or lets
     :class:`~repro.cct.serialize.CCTLoadError` escape (CCT dump
     unreadable) so the caller can name the offending path.
     """
@@ -346,6 +373,12 @@ def _load_checkpoint(workdir: str, shard: int) -> dict:
         raise ShardCheckpointError(path, "not a shard result file")
     if payload.get("digest") != _payload_digest(payload):
         raise ShardCheckpointError(path, "shard result digest mismatch")
+    inputs = [index for index, _ in _chunks_of(spec, shards)[shard]]
+    work = _work_digest(spec)
+    if payload.get("inputs") != inputs or payload.get("work_digest") != work:
+        raise ShardCheckpointError(
+            path, "shard result is for another program, profile or input split"
+        )
     if payload.get("cct") is not None:
         dump = os.path.join(workdir, payload["cct"])
         if not os.path.exists(dump):
@@ -357,9 +390,9 @@ def _load_checkpoint(workdir: str, shard: int) -> dict:
     return payload
 
 
-def _checkpoint_valid(workdir: str, shard: int) -> bool:
+def _checkpoint_valid(workdir: str, shard: int, spec: ShardSpec, shards: int) -> bool:
     try:
-        _load_checkpoint(workdir, shard)
+        _load_checkpoint(workdir, shard, spec, shards)
         return True
     except (ShardCheckpointError, CCTLoadError):
         return False
@@ -480,6 +513,8 @@ def _shard_worker_entry(task) -> None:
     payload = {
         "format": RESULT_FORMAT,
         "shard": shard,
+        "work_digest": _work_digest(spec),
+        "inputs": [index for index, _ in chunk],
         "counters": counters,
         "returns": [[index, value] for index, value in returns],
         "cct": cct_name,
@@ -586,7 +621,7 @@ def _execute_shards(
             if shard in failed:
                 continue
             try:
-                payload = _load_checkpoint(workdir, shard)
+                payload = _load_checkpoint(workdir, shard, spec, shards)
             except (ShardCheckpointError, CCTLoadError) as exc:
                 log.emit(
                     "shard_corrupt",
@@ -648,7 +683,7 @@ def _merge_from_checkpoints(
     ccts = []
     flow_payloads = []
     for shard in range(shards):
-        payload = _load_checkpoint(workdir, shard)
+        payload = _load_checkpoint(workdir, shard, spec, shards)
         for event in Event:
             counters[event] += payload["counters"][event]
         returns.extend((index, value) for index, value in payload["returns"])
@@ -783,21 +818,29 @@ def resume_run(
     """Finish an interrupted sharded run from its manifest.
 
     Validates every shard checkpoint under the manifest's directory,
-    re-executes only the missing or corrupt shards, and merges.  The
+    re-executes only the missing or corrupt shards (and those made for
+    another program, profile or input split), and merges.  The
     merge consumes the same per-shard aggregates a crash-free run
     would have produced (each is a deterministic function of the spec
     and its input chunk), so the resumed outcome is byte-identical to
     both the uninterrupted sharded run and the serial reference.
     """
     payload = load_manifest(manifest)
-    spec = spec_from_json(payload["spec"])
+    try:
+        spec = spec_from_json(payload["spec"])
+    except ProfileSpecError as exc:
+        raise ShardCheckpointError(
+            manifest, f"run manifest spec is invalid: {exc}"
+        ) from None
     shards = payload["shards"]
     workdir = os.path.dirname(os.path.abspath(manifest))
     retries = spec.retries if max_retries is None else max_retries
     fault = fault_plan if fault_plan is not None else FaultPlan.from_env()
     log = RunLog(os.path.join(workdir, LOG_NAME))
     pending = [
-        shard for shard in range(shards) if not _checkpoint_valid(workdir, shard)
+        shard
+        for shard in range(shards)
+        if not _checkpoint_valid(workdir, shard, spec, shards)
     ]
     log.emit(
         "run_start",

@@ -6,7 +6,8 @@ profiling configuration; for that to be decidable the generated
 programs must halt.  Two structural rules guarantee it:
 
 * the call graph is a DAG — a helper may only call strictly
-  later-numbered helpers, so there is no recursion;
+  later-numbered helpers, directly or through the function table, so
+  there is no recursion;
 * every loop is a counted countdown with a constant trip count drawn
   at generation time.
 
@@ -14,9 +15,11 @@ Within those rules the generator exercises the control-flow and
 memory shapes the engines compile differently: conditional branches
 (data-dependent on the accumulator), counted loops (backedge path
 commits, CCT probes), direct calls (CCT enter/exit, PIC save/restore),
-and loads/stores through a per-function scratch buffer (D-cache
-traffic).  Every arithmetic step masks the accumulator to 16 bits so
-values stay engine-representable and paths stay data-dependent.
+indirect calls whose target the accumulator picks (callee lists, and a
+call site whose target changes between runs of it), and loads/stores
+through a per-function scratch buffer (D-cache traffic).  Every
+arithmetic step masks the accumulator to 16 bits so values stay
+engine-representable and paths stay data-dependent.
 
 All programs share one fixed shape convention — ``main()`` takes no
 arguments and returns the masked accumulator — so test harnesses can
@@ -55,6 +58,20 @@ def _arith(draw, fb: FunctionBuilder, acc: int) -> None:
 def _call_segment(draw, fb: FunctionBuilder, acc: int, callees) -> None:
     callee = draw(st.sampled_from(callees))
     result = fb.call(callee, [acc])
+    fb.binop("add", acc, result, dst=acc)
+    fb.binop("and", acc, Imm(MASK), dst=acc)
+
+
+def _icall_segment(fb: FunctionBuilder, acc: int, callees) -> None:
+    """An indirect call to ``callees[acc % len(callees)]``.
+
+    The function table lists every helper in order and ``callees`` is a
+    run of it (``f<first>`` onwards), so the table index is ``first +
+    acc % len(callees)``: data-dependent, yet never an earlier helper.
+    """
+    index = fb.binop("mod", acc, Imm(len(callees)))
+    fb.binop("add", index, Imm(int(callees[0][1:])), dst=index)
+    result = fb.icall(index, [acc])
     fb.binop("add", acc, result, dst=acc)
     fb.binop("and", acc, Imm(MASK), dst=acc)
 
@@ -119,7 +136,7 @@ def _build_helper(draw, name: str, callees, max_trip: int = 5) -> FunctionBuilde
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         segment = draw(
             st.sampled_from(
-                ["arith", "branch", "loop", "mem", "call"]
+                ["arith", "branch", "loop", "mem", "call", "icall"]
                 if callees
                 else ["arith", "branch", "loop", "mem"]
             )
@@ -132,8 +149,10 @@ def _build_helper(draw, name: str, callees, max_trip: int = 5) -> FunctionBuilde
             _loop_segment(draw, fb, acc, buf, labels, callees, max_trip)
         elif segment == "mem":
             _mem_segment(draw, fb, acc, buf)
-        else:
+        elif segment == "call":
             _call_segment(draw, fb, acc, callees)
+        else:
+            _icall_segment(fb, acc, callees)
     tail = fb.load(buf, 0)
     fb.binop("add", acc, tail, dst=acc)
     fb.binop("and", acc, Imm(MASK), dst=acc)
@@ -145,6 +164,8 @@ def _build_helper(draw, name: str, callees, max_trip: int = 5) -> FunctionBuilde
 def ir_programs(draw, max_trip: int = 5) -> Program:
     """A random valid program: DAG of 1–3 helpers plus ``main()``.
 
+    The function table lists the helpers in order, ``f0`` at index 0.
+
     ``max_trip`` bounds loop trip counts.  The default keeps runs
     short; ``ir_hot_programs`` raises it so counted loops take their
     back-edges many times before exiting.
@@ -152,6 +173,7 @@ def ir_programs(draw, max_trip: int = 5) -> Program:
     helper_count = draw(st.integers(min_value=1, max_value=3))
     names = [f"f{index}" for index in range(helper_count)]
     builder = ProgramBuilder(entry="main")
+    builder.program.function_table = list(names)
     for index, name in enumerate(names):
         builder.add(_build_helper(draw, name, names[index + 1 :], max_trip))
 
@@ -159,10 +181,10 @@ def ir_programs(draw, max_trip: int = 5) -> Program:
     fb.block("entry")
     acc = fb.const(draw(st.integers(min_value=0, max_value=MASK)))
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        callee = draw(st.sampled_from(names))
-        result = fb.call(callee, [acc])
-        fb.binop("add", acc, result, dst=acc)
-        fb.binop("and", acc, Imm(MASK), dst=acc)
+        if draw(st.booleans()):
+            _call_segment(draw, fb, acc, names)
+        else:
+            _icall_segment(fb, acc, names)
     fb.ret(acc)
     builder.add(fb)
     return builder.finish()

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -96,6 +98,24 @@ class TestContext:
             ["profile", source_file, "1", "--mode", "context", "--merge-sites"]
         ) == 0
         assert "calling context tree" in capsys.readouterr().out
+
+    def test_save_writes_the_run_cct(self, source_file, tmp_path, capsys):
+        """``--save`` in context mode writes the run's CCT: reloaded, it
+        equals the CCT of the same run made in process."""
+        from repro.cct.merge import strict_form
+        from repro.cct.serialize import load_cct
+        from repro.lang import compile_source
+        from repro.session import ProfileSession
+
+        target = str(tmp_path / "context.cct")
+        assert main(
+            ["profile", source_file, "1", "--mode", "context", "--save", target]
+        ) == 0
+        assert f"CCT written to {target}" in capsys.readouterr().out
+        run = ProfileSession().run(
+            ProfileSpec(mode="context_hw"), compile_source(SOURCE), (1,)
+        )
+        assert strict_form(load_cct(target)) == strict_form(run.cct)
 
 
 class TestCombined:
@@ -252,6 +272,17 @@ class TestContextRenderFlags:
         assert main(["profile", source_file, "1", "--mode", "context", "--dot"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph CCT")
+
+    def test_combined_mode_renders_its_cct(self, source_file, capsys):
+        """Combined mode builds a CCT too, so ``--tree`` and ``--dot``
+        render it in place of the per-context path table; its records
+        carry call counts (``work`` runs 15 times)."""
+        assert main(["profile", source_file, "1", "--mode", "combined", "--tree"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("<root>") and "work [15]" in out
+        assert "per-context path profile" not in out
+        assert main(["profile", source_file, "1", "--mode", "combined", "--dot"]) == 0
+        assert capsys.readouterr().out.startswith("digraph CCT")
 
 
 class TestDiff:
@@ -535,6 +566,22 @@ class TestErrors:
                 "cannot write CCT {missing}/x.cct: No such file or directory",
             ),
             (
+                ["profile", "{src}", "1", "--mode", "flow", "--save", "{dir}/x.cct"],
+                2,
+                "--save needs a mode that builds a CCT (context or combined), not flow",
+            ),
+            (
+                ["profile", "{src}", "1", "--mode", "edge", "--tree"],
+                2,
+                "--tree needs a mode that builds a CCT (context or combined), not edge",
+            ),
+            (
+                ["profile", "{src}", "1", "--mode", "baseline", "--dot"],
+                2,
+                "--dot needs a mode that builds a CCT (context or combined), "
+                "not baseline",
+            ),
+            (
                 ["optimize", "{src}", "1", "--report", "{missing}/r.json"],
                 1,
                 "cannot write report {missing}/r.json: No such file or directory",
@@ -552,6 +599,9 @@ class TestErrors:
             "log-dir",
             "store-dir",
             "save-dir",
+            "flow-save",
+            "edge-tree",
+            "baseline-dot",
             "report-dir",
             "report-is-dir",
         ],
@@ -559,10 +609,10 @@ class TestErrors:
     def test_bad_input_is_one_line_error(
         self, argv, status, message, source_file, tmp_path, capsys
     ):
-        """A missing program, a non-integer argument or input set, and a
-        log, store, CCT or report path that cannot be written each fail
-        before any run, as one ``error:`` line naming the offending
-        value."""
+        """A missing program, a non-integer argument or input set, a
+        log, store, CCT or report path that cannot be written, and a CCT
+        flag in a mode that builds no CCT each fail before any run, as
+        one ``error:`` line naming the offending value."""
         paths = {
             "src": source_file,
             "missing": str(tmp_path / "missing"),
@@ -649,6 +699,149 @@ class TestErrors:
         )
         assert err.startswith(message)
         assert capsys.readouterr().out == ""
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """A program, a store holding its combined profiles for inputs 1 and
+    2 (in that order), and the two run ids."""
+    from repro.store import ProfileStore
+
+    root = tmp_path_factory.mktemp("stored")
+    program = root / "program.pl"
+    program.write_text(SOURCE)
+    store = str(root / "store")
+    for arg in ("1", "2"):
+        argv = ["profile", str(program), arg, "--mode", "combined", "--store", store]
+        assert main(argv) == 0
+    first, second = (entry["run"] for entry in ProfileStore(store).entries())
+    return str(program), store, first, second
+
+
+@pytest.fixture(scope="module")
+def kept_shard_run(tmp_path_factory):
+    """The kept directory of ``shard-run`` over inputs 1, 2 and 3 of a
+    program returning ``x + 1``."""
+    root = tmp_path_factory.mktemp("sharded")
+    program = root / "inc.pl"
+    program.write_text("fn main(x) { return x + 1; }\n")
+    keep = str(root / "keep")
+    assert main(["shard-run", str(program), "--inputs", "1;2;3", "--keep", keep]) == 0
+    return keep
+
+
+def _truncate_index(store):
+    path = os.path.join(store, "index.json")
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) // 2)
+
+
+def _tamper_latest_record(store):
+    from repro.store import ProfileStore
+
+    profiles = ProfileStore(store)
+    with open(profiles._object_path(profiles.resolve("latest")), "a") as handle:
+        handle.write(" ")
+
+
+#: Hand edits of a run manifest's spec that give a field the wrong type:
+#: ``(keys down to the field, value)``.
+_MANIFEST_PROBES = {
+    "inputs-not-a-list": (("profile", "inputs"), 5),
+    "functions-not-a-list": (("profile", "functions"), 3),
+    "source-not-text": (("source",), 7),
+    "retries-not-an-int": (("retries",), "x"),
+    "timeout-not-a-number": (("timeout",), "soon"),
+    "input-not-an-int": (("profile", "inputs"), [["a"]]),
+    "by-site-not-a-bool": (("profile", "by_site"), "no"),
+}
+
+
+class TestCorruptState:
+    """A corrupt store or run manifest crossed with the verbs that read
+    it: each ends in one ``error:`` line and a non-zero exit, never a
+    traceback or a stale answer."""
+
+    @staticmethod
+    def _fails_in_one_line(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code != 0
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "damage", [_truncate_index, _tamper_latest_record], ids=["index", "blob"]
+    )
+    @pytest.mark.parametrize("verb", ["ci", "diff", "optimize", "profile"])
+    def test_corrupt_store(self, verb, damage, stored_runs, tmp_path, capsys):
+        """The tampered blob is the record of the input-2 run, the one
+        each verb reads (``profile`` re-saves it)."""
+        import shutil
+
+        program, pristine, first, second = stored_runs
+        store = str(tmp_path / "store")
+        shutil.copytree(pristine, store)
+        damage(store)
+        argv = {
+            "ci": ["ci", "--store", store],
+            "diff": ["diff", first, second, "--store", store],
+            "optimize": ["optimize", program, "2", "--store", store, "--run", second],
+            "profile": ["profile", program, "2", "--mode", "combined", "--store", store],
+        }[verb]
+        self._fails_in_one_line(capsys, argv)
+
+    @staticmethod
+    def _edited_manifest(kept, tmp_path, edit):
+        import json
+        import shutil
+
+        keep = tmp_path / "keep"
+        shutil.copytree(kept, keep)
+        manifest = keep / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        edit(payload["spec"])
+        manifest.write_text(json.dumps(payload))
+        return str(manifest)
+
+    @pytest.mark.parametrize(
+        "keys, value", list(_MANIFEST_PROBES.values()), ids=list(_MANIFEST_PROBES)
+    )
+    def test_mistyped_manifest(self, keys, value, kept_shard_run, tmp_path, capsys):
+        def edit(spec):
+            for key in keys[:-1]:
+                spec = spec[key]
+            spec[keys[-1]] = value
+
+        manifest = self._edited_manifest(kept_shard_run, tmp_path, edit)
+        self._fails_in_one_line(capsys, ["shard-run", "--resume", manifest])
+
+    @pytest.mark.parametrize(
+        "field, value, results",
+        [
+            ("source", "fn main(x) { return x * 10; }\n", "[10, 20, 30]"),
+            ("inputs", [[5], [6], [7]], "[6, 7, 8]"),
+        ],
+        ids=["program", "inputs"],
+    )
+    def test_manifest_edited_after_its_checkpoints_reruns(
+        self, field, value, results, kept_shard_run, tmp_path, capsys
+    ):
+        """Checkpoints record what they profiled, so after an edit of the
+        program or the input set a resume re-runs every shard instead of
+        answering with the old results ``[2, 3, 4]``."""
+        def edit(spec):
+            if field == "inputs":
+                spec["profile"]["inputs"] = value
+            else:
+                spec[field] = value
+
+        manifest = self._edited_manifest(kept_shard_run, tmp_path, edit)
+        assert main(["shard-run", "--resume", manifest]) == 0
+        assert f"results: {results}" in capsys.readouterr().out
 
 
 class TestProfile:

@@ -264,6 +264,21 @@ def _recursive_program():
     )
 
 
+def _indirect_recursive_program():
+    """``main`` calls itself through the function table."""
+    return parse_program(
+        """
+        program entry=main table=[main]
+        func main(0) regs=4 {
+        entry:
+            const r1, 0
+            icall r0, *r1()
+            ret r0
+        }
+        """
+    )
+
+
 def _paths_without_runtime():
     program = build_workload("130.li", SCALE)
     instrument_paths(program)
@@ -283,6 +298,34 @@ def _too_many_args_program():
         entry:
             const r0, 1
             call r1, one(r0, r0)
+            ret r1
+        }
+        func one(1) regs=2 {
+        entry:
+            ret r0
+        }
+        """
+    )
+
+
+def _indirect_too_many_args_program():
+    """One icall site passing two arguments: its first target takes
+    both, its second takes one, which only the run can tell."""
+    return parse_program(
+        """
+        program entry=main table=[two, one]
+        func main(0) regs=4 {
+        entry:
+            const r0, 1
+            const r2, 0
+            br loop
+        loop:
+            icall r1, *r2(r0, r0)
+            add r2, r2, 1
+            br loop
+        }
+        func two(2) regs=2 {
+        entry:
             ret r1
         }
         func one(1) regs=2 {
@@ -324,6 +367,24 @@ def _too_many_args_program():
             "simulated stack exhausted",
         ),
         (_too_many_args_program, None, MachineError, "main: too many args for one"),
+        (
+            _indirect_recursive_program,
+            MachineConfig(max_call_depth=32),
+            MachineError,
+            "call stack overflow",
+        ),
+        (
+            _indirect_recursive_program,
+            MachineConfig(frame_words=1 << 16),
+            MemoryError,
+            "simulated stack exhausted",
+        ),
+        (
+            _indirect_too_many_args_program,
+            None,
+            MachineError,
+            "main: too many args for one",
+        ),
     ],
     ids=[
         "no-path-runtime",
@@ -332,6 +393,9 @@ def _too_many_args_program():
         "call-depth",
         "stack-exhausted",
         "too-many-args",
+        "icall-depth",
+        "icall-stack-exhausted",
+        "icall-too-many-args",
     ],
 )
 def test_engines_agree_on_faults(build, config, error, message):
@@ -375,9 +439,10 @@ def test_closure_handlers_only_change_frames(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Call and return hand-offs: a direct call's frame comes from a per-depth
-# pool and both transfers skip the block lookup, so every path around
-# them must still match the simple engine.
+# Call and return hand-offs: every call's frame comes from a per-depth
+# pool, and calls and returns skip the block lookup whether the call is
+# direct or indirect and whether a tracer is attached, so every path
+# around them must still match the simple engine.
 # ---------------------------------------------------------------------------
 
 
@@ -403,39 +468,74 @@ def _run_both(program, **signal):
     return results[0]
 
 
-def test_reused_frame_starts_with_zeroed_registers():
+#: ``dirty`` writes a register that ``clean``, with fewer registers,
+#: only reads.
+_SIBLINGS = """
+func dirty(1) regs=8 {
+entry:
+    const r3, 99
+    const r7, 5
+    ret r3
+}
+func clean(0) regs=4 {
+entry:
+    ret r3
+}
+"""
+
+#: ``main`` calls ``dirty`` then ``clean`` from two direct call sites,
+#: three times over, and sums what ``clean`` returns.
+_DIRECT_SIBLINGS = """
+func main(0) regs=6 {
+entry:
+    const r4, 0
+    const r5, 0
+    br loop
+loop:
+    call r0, dirty(r4)
+    call r1, clean()
+    add r5, r5, r1
+    add r4, r4, 1
+    lt r2, r4, 3
+    cbr r2, loop, out
+out:
+    ret r5
+}
+"""
+
+#: The same six calls from one icall site whose target alternates
+#: between ``dirty`` (index 0) and ``clean`` (index 1); ``main`` sums
+#: what ``clean`` returns.
+_INDIRECT_SIBLINGS = """
+program entry=main table=[dirty, clean]
+func main(0) regs=8 {
+entry:
+    const r4, 0
+    const r5, 0
+    br loop
+loop:
+    and r6, r4, 1
+    icall r1, *r6()
+    mul r7, r1, r6
+    add r5, r5, r7
+    add r4, r4, 1
+    lt r2, r4, 6
+    cbr r2, loop, out
+out:
+    ret r5
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "main_asm", [_DIRECT_SIBLINGS, _INDIRECT_SIBLINGS], ids=["call", "icall"]
+)
+def test_reused_frame_starts_with_zeroed_registers(main_asm):
     """Sibling calls run at one depth, where the fast engine reuses the
     frame: ``clean`` reads a register only ``dirty`` ever wrote, and
-    must see 0 every time."""
-    program = parse_program(
-        """
-        func main(0) regs=6 {
-        entry:
-            const r4, 0
-            const r5, 0
-            br loop
-        loop:
-            call r0, dirty(r4)
-            call r1, clean()
-            add r5, r5, r1
-            add r4, r4, 1
-            lt r2, r4, 3
-            cbr r2, loop, out
-        out:
-            ret r5
-        }
-        func dirty(1) regs=8 {
-        entry:
-            const r3, 99
-            const r7, 5
-            ret r3
-        }
-        func clean(0) regs=4 {
-        entry:
-            ret r3
-        }
-        """
-    )
+    must see 0 every time, also when one icall site alternates between
+    the two and so between their register counts."""
+    program = parse_program(main_asm + _SIBLINGS)
     assert _run_both(program).return_value == 0
 
 
@@ -490,10 +590,11 @@ def test_engines_agree_on_signal_after_handoff(period, landed):
 
 
 def test_tracer_runs_keep_the_oracle_exact():
-    """With a tracer attached every call and return takes the slow
-    path, which reports each enter, exit and block: the oracle's path
-    counts on the fast engine equal the simple engine's and the
-    instrumented program's."""
+    """With a tracer attached calls and returns still hand off, and
+    report each enter and exit around the hand-off (``130.li`` calls
+    through its function table too): the oracle's path counts on the
+    fast engine equal the simple engine's and the instrumented
+    program's."""
     from repro.profiles.oracle import PathOracle
 
     flow = instrument_paths(build_workload("130.li", SCALE), mode="freq")

@@ -201,6 +201,25 @@ class TestSpecValidation:
         # working.
         assert issubclass(ProfileSpecError, ValueError)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inputs", 5, "inputs must be a list of integer argument lists"),
+            ("inputs", [["a"]], "inputs must be a list of integer argument lists"),
+            ("inputs", [[True]], "inputs must be a list of integer argument lists"),
+            ("inputs", ["12"], "inputs must be a list of integer argument lists"),
+            ("functions", 3, "functions must be a list of function names"),
+            ("functions", "main", "functions must be a list of function names"),
+            ("by_site", "no", "by_site must be true or false"),
+            ("read_at_backedges", 1, "read_at_backedges must be true or false"),
+        ],
+    )
+    def test_mistyped_field_rejected_naming_the_field(self, field, value, message):
+        """A field of the wrong type (say, from a hand-edited manifest) is a
+        typed error, not a ``TypeError`` later or a silent coercion."""
+        with pytest.raises(ProfileSpecError, match=message):
+            ProfileSpec(mode="flow_hw", **{field: value})
+
     def test_kflow_k_defaults_to_one(self):
         spec = ProfileSpec(mode="kflow")
         assert spec.k == 1

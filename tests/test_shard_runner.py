@@ -199,6 +199,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="backoff"):
             ShardSpec(source=SOURCE, backoff=-0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workload": 7}, "workload must be a string"),
+            ({"source": 7}, "source must be a string"),
+            ({"asm": b"func"}, "asm must be a string"),
+            ({"source": SOURCE, "scale": "1"}, "scale must be a positive number"),
+            ({"source": SOURCE, "scale": True}, "scale must be a positive number"),
+            ({"source": SOURCE, "retries": "x"}, "retries must be an integer"),
+            ({"source": SOURCE, "retries": 1.0}, "retries must be an integer"),
+            ({"source": SOURCE, "timeout": "soon"}, "timeout must be a positive"),
+            ({"source": SOURCE, "backoff": None}, "backoff must be a number"),
+        ],
+    )
+    def test_mistyped_field_rejected_naming_the_field(self, fields, message):
+        with pytest.raises(ProfileSpecError, match=message):
+            ShardSpec(**fields)
+
 
 class TestManifestAndResume:
     def test_spec_json_round_trip(self):
@@ -329,6 +347,46 @@ class TestManifestAndResume:
         assert strict_form(resumed.cct) == strict_form(outcome.cct)
         assert resumed.counters == outcome.counters
         assert resumed.return_values == outcome.return_values
+
+    @staticmethod
+    def _pending_after_resume(workdir):
+        from repro.tools.runlog import read_run_log
+
+        resume_run(os.path.join(workdir, "manifest.json"), jobs=1)
+        starts = [
+            event
+            for event in read_run_log(os.path.join(workdir, "run.log.jsonl"))
+            if event["event"] == "run_start"
+        ]
+        return starts[-1]["pending"]
+
+    def test_checkpoints_of_another_split_rerun(self, tmp_path):
+        """A checkpoint records its input indices, so resuming a manifest
+        whose shard count was changed re-runs every shard and still
+        matches the serial run."""
+        spec = ShardSpec(source=SOURCE, inputs=INPUTS)
+        shard_run(spec, 2, workdir=str(tmp_path), jobs=1)
+        manifest = tmp_path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["shards"] = 3
+        manifest.write_text(json.dumps(payload))
+        assert self._pending_after_resume(str(tmp_path)) == [0, 1, 2]
+        outcome = resume_run(str(manifest))
+        assert strict_form(outcome.cct) == strict_form(serial_run(spec).cct)
+
+    def test_checkpoint_without_its_work_record_reruns(self, tmp_path):
+        """A checkpoint that does not say what it profiled (one written
+        before checkpoints recorded it) is re-run, not trusted."""
+        from repro.store.iojson import payload_digest
+
+        spec = ShardSpec(source=SOURCE, inputs=INPUTS)
+        shard_run(spec, 2, workdir=str(tmp_path), jobs=1)
+        result = tmp_path / "shard1.result.json"
+        payload = json.loads(result.read_text())
+        del payload["work_digest"], payload["inputs"]
+        payload["digest"] = payload_digest(payload)
+        result.write_text(json.dumps(payload))
+        assert self._pending_after_resume(str(tmp_path)) == [1]
 
     def test_temp_workdir_forfeits_resume(self):
         spec = ShardSpec(source=SOURCE, inputs=INPUTS[:2])

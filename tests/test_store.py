@@ -8,7 +8,8 @@ fixtures:
 * re-saving identical content is a no-op returning the same run id
   (content addressing makes saves idempotent);
 * a truncated or tampered blob is a typed :class:`StoreError` naming
-  the damaged path, never a silently wrong profile;
+  the damaged path, never a silently wrong profile, on load and on a
+  save that finds the blob already present;
 * refs (``latest``, ``latest~N``, ``workload:latest``, id prefixes)
   resolve as documented and fail as typed errors;
 * concurrent writers keep every index row, and a writer that cannot
@@ -130,6 +131,21 @@ class TestCorruption:
             with pytest.raises(StoreError) as info:
                 store.load(run_id)
             assert info.value.path == path
+
+    def test_resaving_onto_a_tampered_blob_is_typed_error(self, tmp_path):
+        """A save whose blob is already present re-verifies it, so
+        re-saving a run whose record was tampered with fails instead of
+        reporting the run stored."""
+        from repro.machine.counters import Event
+
+        store, run_id = self._stored(str(tmp_path))
+        path = store._object_path(run_id)
+        with open(path, "a") as handle:
+            handle.write(" ")
+        with pytest.raises(StoreError) as info:
+            store.save_record(_record({Event.INSTRS: 500, Event.CYCLES: 900}))
+        assert info.value.path == path
+        assert "does not match its digest" in info.value.reason
 
     def test_missing_blob_is_typed_error(self, tmp_path):
         from tests.cct_strategies import FakeCCT  # noqa: F401  (doc anchor)
