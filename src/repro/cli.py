@@ -380,11 +380,13 @@ def cmd_profile(args) -> int:
         if args.tree or args.dot:
             report = _render_cct
         status = report(run, args)
+    # A rendered CCT owns stdout, so ``> cct.dot`` stays a valid file.
+    notes = sys.stderr if args.tree or args.dot else sys.stdout
     if args.save:
         save_cct(run.cct, args.save)
-        print(f"CCT written to {args.save}")
+        print(f"CCT written to {args.save}", file=notes)
     if run.stored_as is not None:
-        print(f"\nstored as {run.stored_as[:12]} in {args.store}")
+        print(f"\nstored as {run.stored_as[:12]} in {args.store}", file=notes)
     return status
 
 

@@ -101,13 +101,32 @@ fire: within a segment the line sequence is static, and the one
 dynamic case (the first instruction executed after a control transfer)
 is checked against the machine's line state at every segment head.
 
-Decoding a block is one pass.  :class:`_SegmentWriter` binds each
-maker argument at the moment it emits the argument's name — constants,
-the closure handler, successor link cells, hook instructions and the
-objects fused probes use (PIC methods, tables and their dicts, the CCT
-runtime and its state, the per-site CCT slow-entry closure) — and
-:func:`decode_block` calls each segment's maker with the fixed
-arguments plus the objects its writer collected.
+Decoding a block has two phases, a plan and a bind.  While
+:class:`_SegmentWriter` emits a block's source it records, for each
+maker argument it names, one recipe entry: the value of a
+block-specific constant, or the *role* of a bind-time object — a
+table or its counts or metrics dict, a PIC method, the CCT runtime or
+a piece of its state, a hook instruction, a CCT slow-entry closure or
+a closure handler at an instruction index, or a fresh successor link
+cell (:data:`_ROLES`).  The source and the segments' recipes make the
+block's *plan*, which holds nothing of a machine; :func:`_bind`
+resolves each role against the machine, program and runtimes of the
+current run and calls each segment's maker with the fixed arguments
+and the recipe's.  Every decode, whether its plan was cached or not,
+binds through a plan.
+
+Plans are kept process-wide in :data:`_plans`, an LRU of
+:data:`PLAN_CACHE_CAP` entries keyed by content (:func:`_plan_key`):
+the run context, which is everything generation reads from the
+machine (:func:`run_context`), and the block itself — its names,
+first address, its function's per-context table spec and every
+instruction's kind, ``icost`` and fields — written by ``marshal``,
+which keeps values that compare equal but differ (``1``, ``1.0`` and
+``True``; ``0.0`` and ``-0.0``) apart, and digested with BLAKE2b.  The
+profile loop decodes the same contents in every pass, so a later pass
+generates no source at all.  Nothing needs invalidating, because the
+key is the content: an edit, a model swap or a runtime swap between
+runs changes it.
 
 Decoded blocks live for one run.  :meth:`Machine.run` lays the program
 out and empties the machine's ``(function, block)`` table at the start
@@ -118,25 +137,29 @@ detect edits: a rerun after any splice, in-place instruction change,
 model swap or runtime swap sees it.
 
 Code objects come from :func:`_compile_block`, a process-wide LRU
-cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text.
-Because operand values and positions are parameters, blocks of the
-same shape — the same function in two cloned programs, twin helpers,
-repeated loop bodies, blocks that differ only in an immediate or a
-path increment — compile once.  The text is a sound key on its own:
-every constant the code depends on is either a literal in it or an
-argument bound per machine at decode time.  The cap is sized to the
-profile loop's working set, so each shape compiles once per process:
-a pass of the repo benchmark's profile-cold workload decodes 645
-distinct texts, sim-long 324 and ci-loop 172.  An LRU cache smaller
-than a loop's working set evicts every entry before its next use.
+cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text,
+for a cached plan and a fresh one alike.  Because operand values and
+positions are parameters, blocks of the same shape — the same function
+in two cloned programs, twin helpers, repeated loop bodies, blocks
+that differ only in an immediate or a path increment — compile once.
+The text is a sound key on its own: every constant the code depends on
+is either a literal in it or an argument bound per machine at decode
+time.  The cap is sized to the profile loop's working set, so each
+shape compiles once per process: a pass of the repo benchmark's
+profile-cold workload decodes 651 distinct texts, sim-long 329 and
+ci-loop 173.  An LRU cache smaller than a loop's working set evicts
+every entry before its next use.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
+import marshal
 import math
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cct.records import CallRecord
 from repro.cct.runtime import GCSP_SLOT, _ShadowEntry
@@ -495,26 +518,27 @@ class _SegmentWriter:
     other class gets the call form (``_dca``, ``_ica``, ``_prd``), so
     only the default models' state lists are bound by identity.
     Values derived from an address — I-cache sets, predictor slots —
-    are bound under their own :meth:`const` role.
+    are constants in their own :meth:`const` space.
     """
 
-    def __init__(self, machine, fname: str, links: List[list]):
+    def __init__(self, machine, fname: str, link_numbers: Iterator[int]):
         self.lines: List[str] = []
         self.machine = machine
         self.fname = fname
-        #: The block's successor-link cells, shared by all its segments
-        #: so ``_lk{n}`` numbers them block-wide.
-        self.links = links
+        #: Numbers the block's successor-link cells, shared by all its
+        #: segments so ``_lk{n}`` numbers them block-wide.
+        self.link_numbers = link_numbers
         #: Per-segment maker arguments beyond the fixed ones, in
-        #: emission order: the closure handler, successor-link cells,
-        #: bind-time objects (hook instructions, and the tables, PIC
-        #: methods and CCT state fused probes use; see :meth:`param`)
-        #: and block-specific constants (see :meth:`const`).
+        #: emission order: the value of each block-specific constant
+        #: (see :meth:`const`), and None where bind puts the object of a
+        #: role (see :meth:`role`).
         self.args: List[object] = []
+        #: ``(position, tag, arg)`` of each role in ``args``.
+        self.roles: List[Tuple[int, str, object]] = []
         #: The maker parameter name of each ``args`` entry.
         self.names: List[str] = []
-        #: key -> generated parameter name, for per-segment dedup.
-        self._params: Dict[object, str] = {}
+        #: role -> generated parameter name, for per-segment dedup.
+        self._params: Dict[Tuple[str, object], str] = {}
         #: (type, value) -> generated constant name, likewise.
         self._consts: Dict[Tuple, str] = {}
         self.config = machine.config
@@ -538,21 +562,26 @@ class _SegmentWriter:
         self.prev_iline: Optional[int] = None
         self.cell_stale = False
 
-    def _bind(self, value, name: str) -> None:
-        self.args.append(value)
+    def role(self, tag: str, arg, name: str) -> None:
+        """Add maker parameter ``name`` for the bind-time object of role
+        ``(tag, arg)`` (see :data:`_ROLES`), which bind resolves."""
+        self.roles.append((len(self.args), tag, arg))
+        self.args.append(None)
         self.names.append(name)
 
-    def param(self, key, value) -> str:
-        """Parameter name for the bind-time object ``value``, bound on
-        the first use of ``key`` and shared by later ones."""
+    def param(self, tag: str, arg=None) -> str:
+        """Parameter name for the bind-time object of role ``(tag,
+        arg)``, added on the role's first use in the segment and shared
+        by later ones."""
+        key = (tag, arg)
         name = self._params.get(key)
         if name is None:
             name = f"_pb{len(self._params)}"
             self._params[key] = name
-            self._bind(value, name)
+            self.role(tag, arg, name)
         return name
 
-    def const(self, value, role: str = "") -> str:
+    def const(self, value, space: str = "") -> str:
         """Source expression for a block-specific constant.
 
         Operand values (immediates, constants, offsets, path values,
@@ -561,17 +590,18 @@ class _SegmentWriter:
         CCT proc ids) become maker parameters, named in first-use
         order and deduplicated by :func:`_const_key`, so blocks that
         differ only in those values emit byte-identical source and
-        share one code object.  A ``role`` keeps values derived from an
+        share one code object.  A ``space`` keeps values derived from an
         address (I-cache sets, predictor slots) apart from the rest:
         whether such a value happens to equal an operand depends on
         where the block sits, so merging them would split twin blocks.
         """
-        key = (role, *_const_key(value))
+        key = (space, *_const_key(value))
         name = self._consts.get(key)
         if name is None:
             name = f"_c{len(self._consts)}"
             self._consts[key] = name
-            self._bind(value, name)
+            self.args.append(value)
+            self.names.append(name)
         return name
 
     def emit(self, line: str, indent: int = 2) -> None:
@@ -799,10 +829,8 @@ class _SegmentWriter:
         # Branch targets stay within the function, so the successor's
         # decoded block is returned directly (resolved lazily through a
         # per-site link cell) and the run loop skips the cache lookup.
-        n = len(self.links)
-        cell = [None]
-        self.links.append(cell)
-        self._bind(cell, f"_lk{n}")
+        n = next(self.link_numbers)
+        self.role("link", None, f"_lk{n}")
         name = self.const(target)
         self.emit(f"frame.block_name = {name}", indent)
         self.emit("frame.index = 0", indent)
@@ -875,9 +903,8 @@ class _SegmentWriter:
             self.emit(f"{self._pic('write_values')}(_sv[0], _sv[1])")
             self.emit(f"{self._pic('read')}()")
         elif kind == Kind.CCT_CALL:
-            runtime = self.machine.cct_runtime
-            rt = self.param("cct", runtime)
-            slot = instr.slot if runtime.by_site else 0
+            rt = self.param("cct")
+            slot = instr.slot if self.machine.cct_runtime.by_site else 0
             self.emit(f"{rt}.gcsp = ({self._current_record()}, {self.const(slot)})")
         elif kind == Kind.CCT_ENTER:
             self._fuse_cct_enter(instr, index)
@@ -888,13 +915,12 @@ class _SegmentWriter:
 
     def _current_record(self) -> str:
         """Expression for ``CCTRuntime.current_record``."""
-        runtime = self.machine.cct_runtime
-        sh = self.param("cctsh", runtime.shadow)
-        return f"({sh}[-1].record if {sh} else {self.param('cctroot', runtime.root)})"
+        sh = self.param("cct", "shadow")
+        return f"({sh}[-1].record if {sh} else {self.param('cct', 'root')})"
 
     def _pic(self, method: str) -> str:
         """Parameter name of the PIC's bound ``method``."""
-        return self.param(method, getattr(self.machine.pic, method))
+        return self.param("pic", method)
 
     def _bump(self, tc: str, index: str, addr: str, indent: int) -> None:
         """CounterTable.bump's in-range body: RMW traffic + dict update."""
@@ -904,13 +930,13 @@ class _SegmentWriter:
         self.emit(f"{tc}[{index}] = _v", indent)
 
     def _fuse_commit(self, instr, table) -> None:
-        tc = self.param(("tblc", instr.table), table.counts)
+        tc = self.param("tblc", instr.table)
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self.emit(f"    _a = {self.const(table.base)} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
-        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
+        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
         if instr.reset_to is not None:
             self.emit(f"regs[{instr.reg}] = {self.const(instr.reset_to)}")
 
@@ -919,12 +945,11 @@ class _SegmentWriter:
         (§4.3).  The runtime makes the table only when the record has
         none yet, so tables and their CCT heap come in the same order;
         base and capacity are the table's, the stride the spec's."""
-        runtime = self.machine.cct_runtime
         name = self.const(self.fname)
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"_ct = {self._current_record()}.path_tables.get({name})")
         self.emit("if _ct is None:")
-        self.emit(f"    _ct = {self.param('cctpt', runtime.path_table)}(machine, {name})")
+        self.emit(f"    _ct = {self.param('cct', 'path_table')}(machine, {name})")
         self.emit("if 0 <= _i < _ct.capacity:")
         self.emit(f"    _a = _ct.base + _i * {(1 + spec[1]) * WORD}")
         self._bump("_ct.counts", "_i", "_a", 3)
@@ -937,15 +962,15 @@ class _SegmentWriter:
         # Register the table params before the PIC read, in the order
         # _accum_slots asks for them: the PIC read first would rename
         # them and change the source text.
-        self.param(("tblc", instr.table), table.counts)
-        self.param(("tblm", instr.table), table.metrics)
+        self.param("tblc", instr.table)
+        self.param("tblm", instr.table)
         pr = self._pic("read")
         self.emit(f"_p = {pr}()")
         self.emit(f"_i = regs[{instr.reg}] + {self.const(instr.end)}")
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
-        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
+        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
         if instr.rezero:
             self.emit(f"{self._pic('write_zero')}()")
             self.emit(f"{pr}()")
@@ -956,8 +981,8 @@ class _SegmentWriter:
         """The in-range accumulate body with ``_i`` and ``_p`` already set,
         at ``indent`` so the k-iteration probes can nest it under their
         layer branch."""
-        tc = self.param(("tblc", instr.table), table.counts)
-        tm = self.param(("tblm", instr.table), table.metrics)
+        tc = self.param("tblc", instr.table)
+        tm = self.param("tblm", instr.table)
         self.emit(
             f"_a = {self.const(table.base)} + _i * {table.slot_words * WORD}", indent
         )
@@ -991,7 +1016,7 @@ class _SegmentWriter:
         self.emit(f"    if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 4)
         self.emit("    else:")
-        tbl = self.param(("tbl", instr.table), table)
+        tbl = self.param("tbl", instr.table)
         self.emit(f"        {tbl}.out_of_range += 1")
         self.emit(f"    {self._pic('write_zero')}()")
         self.emit(f"    {pr}()")
@@ -1008,7 +1033,7 @@ class _SegmentWriter:
         self.emit(f"if 0 <= _i < {self.const(table.capacity)}:")
         self._accum_slots(instr, table, 3)
         self.emit("else:")
-        self.emit(f"    {self.param(('tbl', instr.table), table)}.out_of_range += 1")
+        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
 
     def _fuse_edge(self, instr, table) -> None:
         # The edge index is a compile-time constant, so the range check
@@ -1016,27 +1041,18 @@ class _SegmentWriter:
         if 0 <= instr.edge < table.capacity:
             addr = table.base + instr.edge * table.slot_words * WORD
             self._bump(
-                self.param(("tblc", instr.table), table.counts),
+                self.param("tblc", instr.table),
                 self.const(instr.edge),
                 self.const(addr),
                 2,
             )
         else:
-            self.emit(f"{self.param(('tbl', instr.table), table)}.out_of_range += 1")
+            self.emit(f"{self.param('tbl', instr.table)}.out_of_range += 1")
 
     def _fuse_cct_enter(self, instr, index: int) -> None:
-        machine = self.machine
-        runtime = machine.cct_runtime
-        rt = self.param("cct", runtime)
-        sh = self.param("cctsh", runtime.shadow)
-        st = self.param("cctst", runtime.stats)
-        proc, nslots = instr.proc, instr.nslots
-
-        def enter_slow(parent, slot_index, slot_addr, slot):
-            return runtime._enter_slow(
-                machine, parent, slot_index, slot_addr, slot, proc, nslots
-            )
-
+        rt = self.param("cct")
+        sh = self.param("cct", "shadow")
+        st = self.param("cct", "stats")
         self.emit(f"{st}.enters += 1")
         self.emit(f"_g = {rt}.gcsp")
         self.emit("_pnt = _g[0]")
@@ -1047,12 +1063,12 @@ class _SegmentWriter:
         self.emit("    _c = _s")
         self.emit(f"    {st}.fast_hits += 1")
         self.emit("else:")
-        slow = self.param(("eslow", index), enter_slow)
+        slow = self.param("eslow", index)
         self.emit(f"    _c = {slow}(_pnt, _g[1], _a, _s)")
         self.emit(f"_a = frame.base_addr + {GCSP_SLOT * WORD}")
         self.probe_write("_a", "0")
         self.emit("_e = _SE(machine.depth, _c, _g)")
-        if runtime.collect_hw:
+        if self.machine.cct_runtime.collect_hw:
             self.emit(f"_p = {self._pic('read')}()")
             self.emit("_e.pic0 = _p[0]")
             self.emit("_e.pic1 = _p[1]")
@@ -1066,9 +1082,8 @@ class _SegmentWriter:
         self.probe_write("_a", "_m[0]")
 
     def _fuse_cct_exit(self) -> None:
-        runtime = self.machine.cct_runtime
-        rt = self.param("cct", runtime)
-        sh = self.param("cctsh", runtime.shadow)
+        rt = self.param("cct")
+        sh = self.param("cct", "shadow")
         self.emit(f"if not {sh}:")
         self.emit('    raise RuntimeError("CCT exit with empty shadow stack")')
         self.emit(f"_e = {sh}.pop()")
@@ -1080,7 +1095,7 @@ class _SegmentWriter:
         self.emit(f"_a = frame.base_addr + {GCSP_SLOT * WORD}")
         self.probe_read("_a")
         self.emit(f"{rt}.gcsp = _e.saved_gcsp")
-        if runtime.collect_hw:
+        if self.machine.cct_runtime.collect_hw:
             self.emit(f"_p = {self._pic('read')}()")
             self.emit("_c = _e.record")
             self.emit(f"_a = _c.addr + {3 * WORD}")
@@ -1101,7 +1116,7 @@ class _SegmentWriter:
         self.fetch(addr, iline, instr.icost)
         self.flush_costs()
         self.sync_cell()
-        self._bind(_make_handler(self.machine, instr, index + 1, self.fname), "_h")
+        self.role("handler", index, "_h")
         self.emit("return _h(frame)")
 
     def hook_call(self, instr, index: int, addr: int, iline: int) -> None:
@@ -1114,7 +1129,7 @@ class _SegmentWriter:
         self.fetch(addr, iline, instr.icost)
         self.flush_costs()
         self.sync_cell()
-        call = _HOOK_CALLS[instr.kind].format(self.param(("instr", index), instr))
+        call = _HOOK_CALLS[instr.kind].format(self.param("instr", index))
         self.emit(f"machine.{call}")
 
     def close(self) -> None:
@@ -1285,22 +1300,23 @@ def _model_bindings(machine) -> Tuple:
 
 
 def _generate_block(machine, fname: str, instrs, addrs):
-    """Produce ``(source, [(start, args), ...])`` for one block: the
-    module source and, per segment, its first instruction index and the
-    objects its maker binds beyond the fixed arguments.
+    """Produce ``(source, ((start, args, roles), ...))`` for one block:
+    the module source and, per segment, its first instruction index and
+    the recipe of what its maker takes beyond the fixed arguments
+    (:meth:`_SegmentWriter.const` and :meth:`_SegmentWriter.role`).
 
     Block-specific constants are maker arguments, so ``source`` depends
     only on the block's shape, the config constants it bakes in, the
     model forms and the fused probes' geometry.
     """
     line_bits = machine._icache_line_bits
-    links: List[list] = []
-    writer: Optional[_SegmentWriter] = _SegmentWriter(machine, fname, links)
+    link_numbers = itertools.count()
+    writer: Optional[_SegmentWriter] = _SegmentWriter(machine, fname, link_numbers)
     segments: List[Tuple[int, _SegmentWriter]] = [(0, writer)]
     seg_len = 0
     for i, instr in enumerate(instrs):
         if writer is None:
-            writer = _SegmentWriter(machine, fname, links)
+            writer = _SegmentWriter(machine, fname, link_numbers)
             segments.append((i, writer))
             seg_len = 0
         addr = addrs[i]
@@ -1337,7 +1353,10 @@ def _generate_block(machine, fname: str, instrs, addrs):
         src_parts.extend(seg_writer.lines)
         src_parts.append("    return _seg")
     source = "\n".join(src_parts) + "\n"
-    return source, [(start, seg_writer.args) for start, seg_writer in segments]
+    return source, tuple(
+        (start, tuple(seg_writer.args), tuple(seg_writer.roles))
+        for start, seg_writer in segments
+    )
 
 
 #: Distinct block sources whose code objects stay compiled process-wide.
@@ -1349,34 +1368,190 @@ COMPILE_CACHE_CAP = 1024
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_CAP)
-def _compile_block(source: str):
-    """The code object of one block's generated source.
+def _compile_block(source: str) -> Tuple[str, object]:
+    """``(source, code)``: the code object of one block's generated
+    source, with the text it was compiled from, which plans share.
 
     Keyed by the source text alone: every constant the code depends on
     is either a literal in that text or a maker parameter bound per
     machine, so equal text compiles to interchangeable code.
     """
-    return compile(source, "<decoded>", "exec")
+    return source, compile(source, "<decoded>", "exec")
 
 
-def decode_block(machine, function, block) -> DecodedBlock:
-    """Compile one block into its step list for the current run.
+# ---------------------------------------------------------------------------
+# Decode plans: generate once per content, bind per run
+# ---------------------------------------------------------------------------
 
-    One pass: generating the block's source binds every object its
-    segments use (closure handlers, link cells, hook instructions,
-    fused-probe objects, constants); the code object comes from
-    :func:`_compile_block`, and each segment's maker is called with the
-    fixed arguments plus those objects.
+
+def _enter_slow(machine, instr) -> Callable:
+    """The CCT entry slow path (tag-1 and tag-2 slots) of one fused
+    ``CctEnter``: the runtime's, with the site's procedure fixed."""
+    runtime = machine.cct_runtime
+    proc, nslots = instr.proc, instr.nslots
+
+    def enter_slow(parent, slot_index, slot_addr, slot):
+        return runtime._enter_slow(
+            machine, parent, slot_index, slot_addr, slot, proc, nslots
+        )
+
+    return enter_slow
+
+
+#: How bind resolves each role a plan names: ``(machine, instrs, fname,
+#: arg) -> object``, from the machine, program and runtimes of the run.
+_ROLES: Dict[str, Callable] = {
+    # A successor's link cell, filled on the transfer's first use.
+    "link": lambda machine, instrs, fname, arg: [None],
+    "handler": lambda machine, instrs, fname, index: _make_handler(
+        machine, instrs[index], index + 1, fname
+    ),
+    "instr": lambda machine, instrs, fname, index: instrs[index],
+    "eslow": lambda machine, instrs, fname, index: _enter_slow(machine, instrs[index]),
+    "tbl": lambda machine, instrs, fname, table: machine.path_runtime.tables[table],
+    "tblc": lambda machine, instrs, fname, table: machine.path_runtime.tables[table].counts,
+    "tblm": lambda machine, instrs, fname, table: machine.path_runtime.tables[table].metrics,
+    "pic": lambda machine, instrs, fname, method: getattr(machine.pic, method),
+    "cct": lambda machine, instrs, fname, attr: (
+        machine.cct_runtime if attr is None else getattr(machine.cct_runtime, attr)
+    ),
+}
+
+
+def run_context(machine) -> Optional[bytes]:
+    """The digest of everything block generation reads from the
+    machine, which keys every plan made in one run (:meth:`Machine.run`
+    takes it at the start of each fast-engine run).
+
+    That is the config constants the source bakes in, each cost model's
+    form and the geometry its inline form reads, every path-runtime
+    table's kind, capacity, base and slot words, and the CCT runtime's
+    switches.  None when a value has no exact encoding, which leaves
+    the run's plans uncached.
     """
+    config = machine.config
+    dcache, icache, predictor = _inline_models(machine)
+    path = machine.path_runtime
+    cct = machine.cct_runtime
+    context = (
+        config.icache_miss_penalty,
+        config.mispredict_penalty,
+        config.dcache_write_allocate,
+        tuple(sorted(config.fp_latencies.items())),
+        config.store_buffer_depth,
+        config.store_drain_cycles,
+        config.frame_words,
+        machine._icache_line_bits,
+        None if dcache is None else (dcache._line_bits, dcache._set_mask),
+        None if icache is None else (icache._line_bits, icache._set_mask),
+        None if predictor is None else predictor._mask,
+        None
+        if path is None
+        else tuple(
+            (t.kind.value, t.capacity, t.base, t.slot_words, t.metric_slots)
+            for t in path.tables
+        ),
+        None if cct is None else (cct.by_site, cct.collect_hw),
+    )
+    try:
+        return hashlib.blake2b(marshal.dumps(context, 2), digest_size=32).digest()
+    except ValueError:
+        return None
+
+
+def _exact(value):
+    """One field value as a key holds it: an immediate as the 1-tuple
+    of its value, so it stays apart from a register number, and a list
+    as a tuple."""
+    if value.__class__ is Imm:
+        return (value.value,)
+    if value.__class__ is list or value.__class__ is tuple:
+        return tuple([(v.value,) if v.__class__ is Imm else v for v in value])
+    return value
+
+
+class _InstrKeys(dict):
+    """Instruction class -> the function giving an instance's key,
+    ``(kind, icost, *fields)`` with every dataclass field through
+    :func:`_exact` (an int, the common case, inline), generated on the
+    class's first use."""
+
+    def __missing__(self, cls):
+        fields = "".join(
+            f", _v if (_v := i.{name}).__class__ is int else _exact(_v)"
+            for name in cls.__dataclass_fields__
+        )
+        namespace = {"_exact": _exact}
+        exec(f"def key(i):\n    return (int(i.kind), i.icost{fields})\n", namespace)
+        self[cls] = key = namespace["key"]
+        return key
+
+
+_INSTR_KEYS = _InstrKeys()
+
+
+def _plan_key(machine, fname: str, block, addrs) -> Optional[bytes]:
+    """The content key of one block's plan: the BLAKE2b-256 digest of
+    the block, keyed by the run context's digest.
+
+    The block is its function and block names, its first instruction's
+    address (layout places instruction ``i + 1`` at ``4 * icost`` past
+    instruction ``i``), its function's per-context table spec, and every
+    instruction's key (:class:`_InstrKeys`).  ``marshal`` version 2
+    writes it, and the context, exactly: it keeps ``1``, ``1.0`` and
+    ``True`` apart, and ``0.0`` and ``-0.0``, where a tuple key would
+    merge them, and writes equal values the same way whatever their
+    identity.  A 32-byte digest of that is a tenth of its size, so the
+    cache keeps a working set within the memory bound, and two
+    contents share one with a probability far below anything a process
+    could observe.  None when something has no exact encoding, or
+    outside a run: that decode is planned afresh and not cached.
+    """
+    context = machine._plan_context
+    if context is None:
+        return None
+    cct = machine.cct_runtime
+    profiling = None if cct is None else cct.profiling
+    spec = None if profiling is None else profiling.specs.get(fname)
+    parts = [
+        fname,
+        block.name,
+        addrs[0] if addrs else None,
+        None if spec is None else (spec[0], spec[1], spec[2].value),
+    ]
+    parts.extend([_INSTR_KEYS[instr.__class__](instr) for instr in block.instrs])
+    try:
+        block_bytes = marshal.dumps(tuple(parts), 2)
+    except ValueError:
+        return None
+    return hashlib.blake2b(block_bytes, digest_size=32, key=context).digest()
+
+
+#: How many plans :data:`_plans` keeps.  The cap holds the largest
+#: working set the benchmark workloads measure with headroom: a
+#: profile-cold pass decodes 4,860 distinct block contents (4,872 on
+#: seed 11), sim-long 1,198 and ci-loop 1,136.  One entry holds about
+#: 0.4 KB (a 65 B key, a 56 B plan tuple, 0.2 KB of encoded recipes and
+#: its dict slot), so a full cache holds about 2.4 MB, plus the source
+#: texts of shapes the compile cache has since evicted (profile-cold's
+#: plans share 651 texts, all of them the compile cache's).
+PLAN_CACHE_CAP = 6144
+
+#: Content key -> ``(source, encoded recipes)``, least recently used
+#: first.  A plain dict, not an ``OrderedDict``: once the collector has
+#: untracked its plans it untracks the dict too, so full collections
+#: skip it, while walking an ``OrderedDict`` of profile-cold's plans
+#: added about 3 ms to every full collection.
+_plans: Dict[bytes, Tuple[str, bytes]] = {}
+
+
+def _bind(machine, function, block, source: str, code, recipes) -> DecodedBlock:
+    """A plan's decoding for the current run: each segment's maker is
+    called with the fixed arguments and its recipe, every role in it
+    resolved against the machine, the program and the runtimes as they
+    stand now."""
     fname = function.name
-    addrs = machine.layout.block_addrs[(fname, block.name)]
-    source, segments = _generate_block(machine, fname, block.instrs, addrs)
-    stats = machine.codegen_stats
-    hits = _compile_block.cache_info().hits
-    code = _compile_block(source)
-    if _compile_block.cache_info().hits != hits:
-        stats["compile_cache_hits"] += 1
-    stats["decoded_blocks"] += 1
+    instrs = block.instrs
 
     # A transfer fills its link cell with the target's decoding on first
     # use; both live exactly as long as the run.
@@ -1398,10 +1573,53 @@ def decode_block(machine, function, block) -> DecodedBlock:
     )
     resume: Dict[int, int] = {}
     steps: List[Callable] = []
-    for j, (start, args) in enumerate(segments):
+    for j, (start, args, roles) in enumerate(recipes):
+        if roles:
+            args = list(args)
+            for pos, tag, arg in roles:
+                args[pos] = _ROLES[tag](machine, instrs, fname, arg)
         resume[start] = j
         steps.append(namespace[f"_make{j}"](*fixed, *args))
     return DecodedBlock(steps, resume, source)
+
+
+def decode_block(machine, function, block) -> DecodedBlock:
+    """Compile one block into its step list for the current run.
+
+    Two phases.  The plan — the generated source and each segment's
+    argument recipe — depends only on the block's content and the run
+    context, so it comes from :data:`_plans` when an equal block was
+    planned before in this process under an equal context; otherwise it
+    is generated and cached.  The code object comes from
+    :func:`_compile_block` either way, then :func:`_bind` turns the plan
+    into this run's steps.
+    """
+    fname = function.name
+    addrs = machine.layout.block_addrs[(fname, block.name)]
+    stats = machine.codegen_stats
+    key = _plan_key(machine, fname, block, addrs)
+    plan = _plans.pop(key, None)
+    if plan is not None:
+        _plans[key] = plan  # now the most recently used
+        stats["source_cache_hits"] += 1
+        source, recipes = plan[0], marshal.loads(plan[1])
+    else:
+        stats["source_cache_misses"] += 1
+        source, recipes = _generate_block(machine, fname, block.instrs, addrs)
+    hits = _compile_block.cache_info().hits
+    source, code = _compile_block(source)
+    if _compile_block.cache_info().hits != hits:
+        stats["compile_cache_hits"] += 1
+    if plan is None and key is not None:
+        # Every recipe constant is an instruction field, a number the
+        # layout or a cost model derives from the key's start address,
+        # or a table geometry in the context, so recipes encode
+        # whenever the key does.
+        _plans[key] = (source, marshal.dumps(recipes, 2))
+        if len(_plans) > PLAN_CACHE_CAP:
+            del _plans[next(iter(_plans))]
+    stats["decoded_blocks"] += 1
+    return _bind(machine, function, block, source, code, recipes)
 
 
 # ---------------------------------------------------------------------------

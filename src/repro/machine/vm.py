@@ -218,13 +218,23 @@ class Machine:
         #: functions for the current run's direct-mapped cache (see
         #: ``engine._dcache_miss_paths``).
         self._dc_miss_paths: Optional[tuple] = None
+        #: What block generation reads from this machine in the current
+        #: fast-engine run, the first half of every decode plan's key
+        #: (see ``engine.run_context``).
+        self._plan_context: Optional[bytes] = None
         #: Block-compilation observability, summed over this machine's
-        #: runs: ``decoded_blocks`` counts block decodings and
-        #: ``compile_cache_hits`` how many of them skipped ``compile()``
-        #: through the process-wide code cache, so their difference is
-        #: the number of ``compile()`` calls.
+        #: runs: ``decoded_blocks`` counts block decodings, each of
+        #: which either took its plan from the process-wide plan cache
+        #: (``source_cache_hits``) or generated it
+        #: (``source_cache_misses``), and ``compile_cache_hits`` counts
+        #: those whose code object the process-wide code cache served
+        #: (a plan hit's always is while its shape stays cached), so
+        #: ``decoded_blocks - compile_cache_hits`` is the number of
+        #: ``compile()`` calls.
         self.codegen_stats: Dict[str, int] = {
             "decoded_blocks": 0,
+            "source_cache_hits": 0,
+            "source_cache_misses": 0,
             "compile_cache_hits": 0,
         }
 
@@ -361,8 +371,9 @@ class Machine:
             tracer.on_block(entry.name, frame.block_name)
 
         if self.engine == "fast":
-            from repro.machine.engine import execute
+            from repro.machine.engine import execute, run_context
 
+            self._plan_context = run_context(self)
             return RunResult(self, execute(self))
         if self.engine == "simple":
             return RunResult(self, self._run_simple())

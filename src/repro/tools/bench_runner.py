@@ -254,15 +254,17 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
     and is called once per pass (fresh machines, fresh runtime state).
     The simple engine and the warm fast pass run best-of-two; the cold
     fast pass (first decode + compile) is timed once, after emptying
-    the process-wide compile cache so the simple passes cannot warm
-    it.  Raises ``AssertionError`` unless all passes produced identical
-    facts — the bit-exactness contract the fast engine must honour.
+    the process-wide plan and compile caches, which earlier work in the
+    process may have warmed.  Raises ``AssertionError`` unless all
+    passes produced identical facts — the bit-exactness contract the
+    fast engine must honour.
     """
-    from repro.machine.engine import _compile_block
+    from repro.machine.engine import _compile_block, _plans
 
     simple_i, simple_t, simple_facts, _ = _best_pass(
         2, lambda: _suite_pass(make_pass("simple"))
     )
+    _plans.clear()
     _compile_block.cache_clear()
     cold_i, cold_t, cold_facts, cold_stats = _suite_pass(make_pass("fast"))
     warm_i, warm_t, warm_facts, warm_stats = _best_pass(

@@ -284,6 +284,21 @@ class TestContextRenderFlags:
         assert main(["profile", source_file, "1", "--mode", "combined", "--dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph CCT")
 
+    def test_dot_with_save_and_store_is_a_valid_graphviz_file(
+        self, source_file, tmp_path, capsys
+    ):
+        """The ``--save`` and ``--store`` notes go to stderr when the CCT
+        is rendered, so stdout redirected to a file is the DOT text alone."""
+        target = str(tmp_path / "x.cct")
+        store = str(tmp_path / "store")
+        argv = ["profile", source_file, "1", "--mode", "context", "--dot"]
+        assert main([*argv, "--save", target, "--store", store]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("digraph CCT")
+        assert captured.out.rstrip("\n").splitlines()[-1] == "}"
+        assert f"CCT written to {target}" in captured.err
+        assert "stored as " in captured.err
+
 
 class TestDiff:
     def test_identical_inputs(self, source_file, capsys):

@@ -127,8 +127,12 @@ def _compiles(machine):
 
 @pytest.fixture(autouse=True)
 def _cold_compile_cache():
+    """Empty the plan and compile caches around each test: a plan hit
+    skips the compiles these tests count."""
+    engine._plans.clear()
     engine._compile_block.cache_clear()
     yield
+    engine._plans.clear()
     engine._compile_block.cache_clear()
 
 

@@ -12,6 +12,8 @@ vectors), and exact CCT state (:func:`strict_form`).
 Generated loops run only a handful of iterations, so dedicated
 hot-loop tests additionally draw programs with 8–32-iteration loops,
 where compiled segments and fused probes run many times per block.
+:func:`_check_engines` runs the fast engine twice, so every block is
+also decoded through the plan its first decoding cached.
 
 The examples are derandomized (fixed seed), so a CI failure is
 reproducible locally with the same example count.  The bound comes
@@ -79,9 +81,13 @@ def _assert_engines_identical(config, simple_run, fast_run):
 
 
 def _check_engines(config, mode, program):
+    """Simple against fast twice: the second fast run decodes through
+    the plans the first one cached, and must agree just the same."""
     simple = getattr(PP(engine="simple"), mode)(program)
     fast = getattr(PP(engine="fast"), mode)(program)
     _assert_engines_identical(config, simple, fast)
+    again = getattr(PP(engine="fast"), mode)(program)
+    _assert_engines_identical(f"{config} (planned)", simple, again)
 
 
 @FUZZ_SETTINGS
