@@ -48,6 +48,7 @@ writes are checked before the run, so an unwritable one costs no run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -108,6 +109,28 @@ def _int_tuple(raw: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"not a list of integers: {raw!r}"
         ) from None
+
+
+def _positive_int(raw: str) -> int:
+    """A count of at least one (``shard-run --shards``)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {raw!r}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    """A finite number above zero (``--scale``)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"not a positive finite number: {raw!r}")
+    return value
 
 
 def _input_sets(raw: str) -> List[Tuple[int, ...]]:
@@ -1020,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "args", nargs="*", type=int, help="single input: integer args to main"
     )
-    shard.add_argument("--shards", type=int, default=2, help="worker count")
+    shard.add_argument("--shards", type=_positive_int, default=2, help="worker count")
     shard.add_argument(
         "--inputs",
         type=_input_sets,
@@ -1134,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="measure the instrumented suite (flow/context/combined modes)",
     )
-    bench.add_argument("--scale", type=float, default=0.5)
+    bench.add_argument("--scale", type=_positive_float, default=0.5)
     bench.add_argument("--workloads", nargs="*", help="subset of the suite")
     bench.add_argument(
         "--check-only",
@@ -1152,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", choices=["1", "2", "3", "4", "5"])
-    table.add_argument("--scale", type=float, default=0.5)
+    table.add_argument("--scale", type=_positive_float, default=0.5)
     table.add_argument("--workloads", nargs="*", help="subset of the suite")
     table.add_argument(
         "--shards",

@@ -16,12 +16,13 @@ this engine compiles each basic block once per run:
   unconditional branches, alloc, setjmp and the path-register
   pseudo-ops) — generated source with register numbers, counter
   indices, cost sums, penalties, D-cache and store-buffer geometry and
-  table strides inlined as literals, ``exec``-ed once at decode time.  Those
-  literals are the block's *shape*; every other value is bound as a
-  maker parameter through :meth:`_SegmentWriter.const`: what the block
-  computes with (immediates, constants, load/store offsets, path
-  increments, commit ends and restarts, k-iteration value tuples, edge
-  indices, CCT call slots) and where it sits (addresses, I-cache lines
+  table strides inlined as literals, ``exec``-ed once per process for
+  each distinct text (:func:`_compile_block`).  Those literals are the
+  block's *shape*; every other value is bound as a maker parameter
+  through :meth:`_SegmentWriter.const`: what the block computes with
+  (immediates, constants, load/store offsets, path increments, commit
+  ends and restarts, k-iteration value tuples, edge indices, CCT call
+  slots) and where it sits (addresses, I-cache lines
   and sets, predictor slots, block and function names, table bases and
   capacities, CCT proc ids);
 * the instrumentation hooks spliced by :mod:`repro.instrument` are
@@ -111,9 +112,12 @@ a closure handler at an instruction index, or a fresh successor link
 cell (:data:`_ROLES`).  The source and the segments' recipes make the
 block's *plan*, which holds nothing of a machine; :func:`_bind`
 resolves each role against the machine, program and runtimes of the
-current run and calls each segment's maker with the fixed arguments
-and the recipe's.  Every decode, whether its plan was cached or not,
-binds through a plan.
+current run and calls each segment's maker as
+``_make{j}(machine, counts, _il, <the _MODEL_PARAMS>, _mrd, _mwr,
+_halloc, _rs, <the recipe's>)``: the run's fixed arguments
+(:func:`_fixed_args`, built on the run's first decode), the block's
+link resolver, then the recipe.  Every decode, whether its plan was
+cached or not, binds through a plan.
 
 Plans are kept process-wide in :data:`_plans`, an LRU of
 :data:`PLAN_CACHE_CAP` entries keyed by content (:func:`_plan_key`):
@@ -134,21 +138,29 @@ of every run, and a block is decoded when the run first reaches it, so
 a decoding always reflects the program, the cost models and the
 attached runtimes as they stand at that run's start.  Nothing has to
 detect edits: a rerun after any splice, in-place instruction change,
-model swap or runtime swap sees it.
+model swap or runtime swap sees it.  When the run ends, on return and
+on raise alike, :func:`execute` empties every decoding's step list and
+drops the frame pool, the hand-off cell and the fixed arguments.
+Segment closures bind the machine, link cells thread decodings into
+the program's loops, and call sites hold their callers' step lists,
+so a run's machine, program and decodings form cycles until then;
+emptied, reference counting frees them when the caller drops the run,
+and the cyclic collector finds none of them.
 
-Code objects come from :func:`_compile_block`, a process-wide LRU
+Segment makers come from :func:`_compile_block`, a process-wide LRU
 cache of :data:`COMPILE_CACHE_CAP` entries keyed by the source text,
-for a cached plan and a fresh one alike.  Because operand values and
-positions are parameters, blocks of the same shape — the same function
-in two cloned programs, twin helpers, repeated loop bodies, blocks
-that differ only in an immediate or a path increment — compile once.
-The text is a sound key on its own: every constant the code depends on
-is either a literal in it or an argument bound per machine at decode
-time.  The cap is sized to the profile loop's working set, so each
-shape compiles once per process: a pass of the repo benchmark's
-profile-cold workload decodes 651 distinct texts, sim-long 329 and
-ci-loop 173.  An LRU cache smaller than a loop's working set evicts
-every entry before its next use.
+for a cached plan and a fresh one alike: it compiles the text and
+executes it once, into a namespace of its own, so a decode only calls
+makers.  Because operand values and positions are parameters, blocks
+of the same shape — the same function in two cloned programs, twin
+helpers, repeated loop bodies, blocks that differ only in an immediate
+or a path increment — compile once.  The text is a sound key on its
+own: every constant the code depends on is either a literal in it or
+an argument bound per run at decode time.  The cap is sized to the
+profile loop's working set, so each shape compiles once per process:
+a pass of the repo benchmark's profile-cold workload decodes 651
+distinct texts, sim-long 329 and ci-loop 173.  An LRU cache smaller
+than a loop's working set evicts every entry before its next use.
 """
 
 from __future__ import annotations
@@ -272,7 +284,11 @@ def _const_key(value) -> Tuple:
 
 
 class DecodedBlock:
-    """One block's compiled step list, valid for the run that decoded it."""
+    """One block's compiled step list, valid for the run that decoded it.
+
+    The run empties ``steps`` when it ends (see :func:`execute`);
+    ``nsteps``, ``resume`` and ``source`` stay readable after it.
+    """
 
     __slots__ = ("steps", "nsteps", "resume", "source")
 
@@ -1241,10 +1257,9 @@ def _dcache_miss_paths(machine, dcache: DirectMappedCache) -> Tuple[Callable, Ca
     (a write only under write-allocate), count it in ``dcache.misses``,
     the miss events and the region of the address, and, for a read,
     add the L1 penalty, or the L2 miss penalty when an enabled L2 misses
-    too.  Built once per run, like the decodings that call them.
+    too.  Built once per run, with the other fixed maker arguments
+    (:func:`_fixed_args`).
     """
-    if machine._dc_miss_paths is not None:
-        return machine._dc_miss_paths
     tags = dcache.tags
     line_bits = dcache._line_bits
     set_mask = dcache._set_mask
@@ -1275,16 +1290,23 @@ def _dcache_miss_paths(machine, dcache: DirectMappedCache) -> Tuple[Callable, Ca
         counts[_DC_MISS] += 1
         region_misses[names[bisect_right(edges, address)]] += 1
 
-    machine._dc_miss_paths = (read_miss, write_miss)
     return read_miss, write_miss
 
 
-def _model_bindings(machine) -> Tuple:
-    """The :data:`_MODEL_PARAMS` objects of ``machine``; a model in the
-    call form binds ``None`` for the state its inline form reads."""
+def _fixed_args(machine) -> Tuple:
+    """The arguments every maker of a run takes first: the machine, its
+    counters and I-cache line cell, the :data:`_MODEL_PARAMS` objects
+    (a model in the call form binds ``None`` for the state its inline
+    form reads), and the memory accessors ``_mrd``, ``_mwr`` and
+    ``_halloc``.  Built on a run's first decode and dropped at its end
+    (:func:`execute`), since the tuple holds the machine."""
     dcache, icache, predictor = _inline_models(machine)
     drm, dwm = (None, None) if dcache is None else _dcache_miss_paths(machine, dcache)
+    store = machine.memory._store
     return (
+        machine,
+        machine.counters.counts,
+        machine._iline,
         None if icache is None else icache.ways,
         machine.icache.access,
         None if dcache is None else dcache.tags,
@@ -1296,6 +1318,9 @@ def _model_bindings(machine) -> Tuple:
         None if predictor is None else predictor.table,
         machine.predictor.predict_and_update,
         machine._store_drained,
+        store.get,
+        store.__setitem__,
+        machine.memory.heap_alloc,
     )
 
 
@@ -1346,7 +1371,8 @@ def _generate_block(machine, fname: str, instrs, addrs):
     for j, (_start, seg_writer) in enumerate(segments):
         params = "".join(f", {name}" for name in seg_writer.names)
         src_parts.append(
-            f"def _make{j}(machine, counts, _il, {_MODEL_PARAMS}, _mrd, _mwr, _rs{params}):"
+            f"def _make{j}(machine, counts, _il, {_MODEL_PARAMS}, _mrd, _mwr, _halloc, "
+            f"_rs{params}):"
         )
         src_parts.append("    def _seg(frame):")
         src_parts.append("        regs = frame.regs")
@@ -1368,15 +1394,20 @@ COMPILE_CACHE_CAP = 1024
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_CAP)
-def _compile_block(source: str) -> Tuple[str, object]:
-    """``(source, code)``: the code object of one block's generated
-    source, with the text it was compiled from, which plans share.
+def _compile_block(source: str) -> Tuple[str, Tuple[Callable, ...]]:
+    """``(source, makers)``: one block's generated source compiled and
+    executed once into a namespace of its own, its segment makers in
+    order, with the text they came from, which plans share.
 
     Keyed by the source text alone: every constant the code depends on
     is either a literal in that text or a maker parameter bound per
-    machine, so equal text compiles to interchangeable code.
+    run, so equal text makes interchangeable makers.
     """
-    return source, compile(source, "<decoded>", "exec")
+    namespace = dict(CODEGEN_GLOBALS)
+    exec(compile(source, "<decoded>", "exec"), namespace)
+    return source, tuple(
+        value for name, value in namespace.items() if name.startswith("_make")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1545,11 +1576,11 @@ PLAN_CACHE_CAP = 6144
 _plans: Dict[bytes, Tuple[str, bytes]] = {}
 
 
-def _bind(machine, function, block, source: str, code, recipes) -> DecodedBlock:
+def _bind(machine, function, block, source: str, makers, recipes) -> DecodedBlock:
     """A plan's decoding for the current run: each segment's maker is
-    called with the fixed arguments and its recipe, every role in it
-    resolved against the machine, the program and the runtimes as they
-    stand now."""
+    called with the run's fixed arguments, the block's link resolver and
+    its recipe, every role in it resolved against the machine, the
+    program and the runtimes as they stand now."""
     fname = function.name
     instrs = block.instrs
 
@@ -1560,17 +1591,9 @@ def _bind(machine, function, block, source: str, code, recipes) -> DecodedBlock:
         cell[0] = decoded
         return decoded
 
-    namespace = machine._codegen_namespace()
-    exec(code, namespace)
-    fixed = (
-        machine,
-        machine.counters.counts,
-        machine._iline,
-        *_model_bindings(machine),
-        machine.memory._store.get,
-        machine.memory._store.__setitem__,
-        resolve_link,
-    )
+    fixed = machine._maker_args
+    if fixed is None:
+        fixed = machine._maker_args = _fixed_args(machine)
     resume: Dict[int, int] = {}
     steps: List[Callable] = []
     for j, (start, args, roles) in enumerate(recipes):
@@ -1579,7 +1602,7 @@ def _bind(machine, function, block, source: str, code, recipes) -> DecodedBlock:
             for pos, tag, arg in roles:
                 args[pos] = _ROLES[tag](machine, instrs, fname, arg)
         resume[start] = j
-        steps.append(namespace[f"_make{j}"](*fixed, *args))
+        steps.append(makers[j](*fixed, resolve_link, *args))
     return DecodedBlock(steps, resume, source)
 
 
@@ -1590,7 +1613,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
     argument recipe — depends only on the block's content and the run
     context, so it comes from :data:`_plans` when an equal block was
     planned before in this process under an equal context; otherwise it
-    is generated and cached.  The code object comes from
+    is generated and cached.  The segment makers come from
     :func:`_compile_block` either way, then :func:`_bind` turns the plan
     into this run's steps.
     """
@@ -1607,7 +1630,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
         stats["source_cache_misses"] += 1
         source, recipes = _generate_block(machine, fname, block.instrs, addrs)
     hits = _compile_block.cache_info().hits
-    source, code = _compile_block(source)
+    source, makers = _compile_block(source)
     if _compile_block.cache_info().hits != hits:
         stats["compile_cache_hits"] += 1
     if plan is None and key is not None:
@@ -1619,7 +1642,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
         if len(_plans) > PLAN_CACHE_CAP:
             del _plans[next(iter(_plans))]
     stats["decoded_blocks"] += 1
-    return _bind(machine, function, block, source, code, recipes)
+    return _bind(machine, function, block, source, makers, recipes)
 
 
 # ---------------------------------------------------------------------------
@@ -1632,6 +1655,13 @@ def execute(machine):
 
     Entry frames must already be pushed onto ``machine._frames`` (done
     by :meth:`Machine.run`).  Returns the program's return value.
+
+    The run ends, on return and on raise alike, by emptying its
+    decodings: every decoded block's step list, the frame pool, the
+    hand-off cell and the fixed maker arguments.  That breaks the
+    cycles its closures and link cells form (see the module docstring),
+    so reference counting frees the machine once the caller drops it.
+    Each ``DecodedBlock`` keeps its ``source`` and ``resume``.
     """
     from repro.machine.vm import MachineError
 
@@ -1643,64 +1673,73 @@ def execute(machine):
     handoff = machine._handoff
     INSTRS = _INSTRS
 
-    while frames:
-        if (
-            signal_active
-            and counts[INSTRS] >= machine._next_signal_at
-            and machine._signal_depth == 0
-        ):
-            machine._deliver_signal()
-        frame = frames[-1]
-        function = frame.function
-        decoded = decoded_cache.get((function.name, frame.block_name))
-        if decoded is None:
-            decoded = machine._decoded_block(function, frame.block_name)
-        index = frame.index
-        k = 0 if index == 0 else decoded.resume[index]
-        steps = decoded.steps
-        nsteps = decoded.nsteps
-        while True:
-            if counts[INSTRS] > max_instructions:
-                raise MachineError(f"instruction budget exceeded ({max_instructions})")
-            r = steps[k](frame)
-            if r is True:
-                # Call, return, or longjmp: the top frame changed.  A
-                # call or a return to a caller left where it continues in
-                # the hand-off cell; anything else needs the full lookup.
-                cont = handoff[0]
-                if cont is None:
-                    break
-                handoff[0] = None
-                steps, nsteps, k = cont
-                frame = frames[-1]
-            elif r is False:
-                # Segment fell through to the next (cap split / setjmp
-                # resume point); a block's last segment always transfers.
-                k += 1
-                if k >= nsteps:
-                    raise MachineError(
-                        f"{frame.function.name}.{frame.block_name}: fell through block end"
-                    )
-                continue
-            else:
-                # Branch within the same frame: r is the successor's
-                # decoded block, delivered through the transfer's link cell.
-                steps = r.steps
-                nsteps = r.nsteps
-                k = 0
+    try:
+        while frames:
             if (
                 signal_active
                 and counts[INSTRS] >= machine._next_signal_at
                 and machine._signal_depth == 0
             ):
                 machine._deliver_signal()
-                break
+            frame = frames[-1]
+            function = frame.function
+            decoded = decoded_cache.get((function.name, frame.block_name))
+            if decoded is None:
+                decoded = machine._decoded_block(function, frame.block_name)
+            index = frame.index
+            k = 0 if index == 0 else decoded.resume[index]
+            steps = decoded.steps
+            nsteps = decoded.nsteps
+            while True:
+                if counts[INSTRS] > max_instructions:
+                    raise MachineError(f"instruction budget exceeded ({max_instructions})")
+                r = steps[k](frame)
+                if r is True:
+                    # Call, return, or longjmp: the top frame changed.  A
+                    # call or a return to a caller left where it continues
+                    # in the hand-off cell; anything else needs the full
+                    # lookup.
+                    cont = handoff[0]
+                    if cont is None:
+                        break
+                    handoff[0] = None
+                    steps, nsteps, k = cont
+                    frame = frames[-1]
+                elif r is False:
+                    # Segment fell through to the next (cap split / setjmp
+                    # resume point); a block's last segment always transfers.
+                    k += 1
+                    if k >= nsteps:
+                        raise MachineError(
+                            f"{frame.function.name}.{frame.block_name}: fell through block end"
+                        )
+                    continue
+                else:
+                    # Branch within the same frame: r is the successor's
+                    # decoded block, delivered through the transfer's link
+                    # cell.
+                    steps = r.steps
+                    nsteps = r.nsteps
+                    k = 0
+                if (
+                    signal_active
+                    and counts[INSTRS] >= machine._next_signal_at
+                    and machine._signal_depth == 0
+                ):
+                    machine._deliver_signal()
+                    break
+        return machine._return_value
+    finally:
+        for decoded in decoded_cache.values():
+            decoded.steps.clear()
+        machine._frame_pool = []
+        machine._maker_args = None
+        handoff[0] = None
 
-    return machine._return_value
 
-
-#: Names available to generated segment code (stable across blocks; the
-#: machine builds one namespace and all decoded segments share it).
+#: Names available to generated segment code.  They are process
+#: constants, so each compiled block executes once into a copy of its
+#: own (:func:`_compile_block`), which its makers keep for every run.
 CODEGEN_GLOBALS = {
     "_idiv": _int_div,
     "_imod": _int_mod,

@@ -60,10 +60,11 @@ class Frame:
     """One activation record.
 
     The fast engine pushes every call's frame from a pool of one frame
-    per call depth (``Machine._frame_pool``, rebuilt each run) and resets
-    every field but ``base_addr`` and ``is_signal`` when it reuses one,
-    the way SPARC reuses register windows; only the entry and signal
-    frames are made fresh.  So nothing may hold a frame after it is popped.
+    per call depth (``Machine._frame_pool``, dropped at the end of each
+    run) and resets every field but ``base_addr`` and ``is_signal`` when
+    it reuses one, the way SPARC reuses register windows; only the entry
+    and signal frames are made fresh.  So nothing may hold a frame after
+    it is popped.
     """
 
     __slots__ = (
@@ -91,6 +92,8 @@ class Frame:
         #: Where the caller resumes, ``(steps, nsteps, step)`` of its
         #: decoded block, set by every fast-engine call so the return
         #: hands straight back; None for the entry and signal frames.
+        #: The run empties ``steps`` when it ends, so a frame left on
+        #: the stack by a fault holds no live code.
         self.cont: Optional[tuple] = None
 
 
@@ -204,20 +207,20 @@ class Machine:
         #: list so decoded closures can bind its identity once).
         self._frames: List[Frame] = []
         #: The fast engine's reusable frames, indexed by call depth
-        #: (see :class:`Frame`); emptied at the start of every run.
+        #: (see :class:`Frame`); dropped at the end of every run.
         self._frame_pool: List[Frame] = []
         #: One-slot cell through which a fast-engine call or return
         #: closure hands the run loop where to continue.
         self._handoff: List[Optional[tuple]] = [None]
         self._return_value: Union[int, float, None] = None
         #: (function, block) -> DecodedBlock: the fast engine's decodings
-        #: for the current run.
+        #: of the current or last run, whose step lists the run empties
+        #: when it ends.
         self._decoded: Dict[Tuple[str, str], object] = {}
-        self._codegen_ns: Optional[dict] = None
-        #: ``(read_miss, write_miss)``: the fast engine's D-cache miss
-        #: functions for the current run's direct-mapped cache (see
-        #: ``engine._dcache_miss_paths``).
-        self._dc_miss_paths: Optional[tuple] = None
+        #: The arguments every segment maker of the current fast-engine
+        #: run takes first, built on its first decode and dropped at its
+        #: end (see ``engine._fixed_args``).
+        self._maker_args: Optional[tuple] = None
         #: What block generation reads from this machine in the current
         #: fast-engine run, the first half of every decode plan's key
         #: (see ``engine.run_context``).
@@ -340,7 +343,9 @@ class Machine:
 
         Each run lays the program out and decodes it afresh, as it
         stands now: a rerun sees any edit made since the last run, and
-        the last run's decodings go.
+        the last run's decodings go.  A fast run empties its decodings
+        when it ends, so dropping the machine frees it by reference
+        counting (see ``engine.execute``).
         """
         from repro.edit.layout import assign_layout
 
@@ -354,8 +359,7 @@ class Machine:
             )
         self.layout = assign_layout(program)
         self._decoded = {}
-        self._dc_miss_paths = None
-        self._frame_pool = []
+        self._maker_args = None
         frames = self._frames
         frames.clear()
         frame = Frame(entry, self.memory.frame_base(0, self.config.frame_words), None)
@@ -406,15 +410,6 @@ class Machine:
         if tracer is not None:
             tracer.on_enter(handler.name, -2)
             tracer.on_block(handler.name, signal_frame.block_name)
-
-    def _codegen_namespace(self) -> dict:
-        """Globals shared by all generated segment code on this machine."""
-        if self._codegen_ns is None:
-            from repro.machine.engine import CODEGEN_GLOBALS
-
-            self._codegen_ns = dict(CODEGEN_GLOBALS)
-            self._codegen_ns["_halloc"] = self.memory.heap_alloc
-        return self._codegen_ns
 
     def _decoded_block(self, function: Function, block_name: str):
         """The current run's decoding of one block, decoded on first use."""

@@ -606,6 +606,36 @@ class TestErrors:
                 1,
                 "cannot write report {dir}: Is a directory",
             ),
+            (
+                ["shard-run", "{src}", "--inputs", "1;2", "--shards", "0"],
+                2,
+                "argument --shards: not a positive integer: '0'",
+            ),
+            (
+                ["shard-run", "{src}", "--inputs", "1;2", "--shards", "-3"],
+                2,
+                "argument --shards: not a positive integer: '-3'",
+            ),
+            (
+                ["table", "1", "--scale", "nan"],
+                2,
+                "argument --scale: not a positive finite number: 'nan'",
+            ),
+            (
+                ["table", "1", "--scale", "0"],
+                2,
+                "argument --scale: not a positive finite number: '0'",
+            ),
+            (
+                ["table", "1", "--scale", "-1"],
+                2,
+                "argument --scale: not a positive finite number: '-1'",
+            ),
+            (
+                ["bench", "--scale", "0", "--out", "{dir}/bench.json"],
+                2,
+                "argument --scale: not a positive finite number: '0'",
+            ),
         ],
         ids=[
             "missing-program",
@@ -619,15 +649,22 @@ class TestErrors:
             "baseline-dot",
             "report-dir",
             "report-is-dir",
+            "zero-shards",
+            "negative-shards",
+            "nan-scale",
+            "zero-scale",
+            "negative-scale",
+            "bench-zero-scale",
         ],
     )
     def test_bad_input_is_one_line_error(
         self, argv, status, message, source_file, tmp_path, capsys
     ):
         """A missing program, a non-integer argument or input set, a
-        log, store, CCT or report path that cannot be written, and a CCT
-        flag in a mode that builds no CCT each fail before any run, as
-        one ``error:`` line naming the offending value."""
+        log, store, CCT or report path that cannot be written, a CCT
+        flag in a mode that builds no CCT, a shard count below one and a
+        scale that is not a positive finite number each fail before any
+        run, as one ``error:`` line naming the offending value."""
         paths = {
             "src": source_file,
             "missing": str(tmp_path / "missing"),

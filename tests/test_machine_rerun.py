@@ -1,14 +1,22 @@
-"""A rerun sees the program and the machine as they are now.
+"""A rerun sees the program and the machine as they are now, and a
+finished run leaves nothing for the cyclic collector.
 
 ``Machine.run`` lays the program out and decodes it afresh at the start
-of every run, so no edit has to be announced to the engines.  Each test
-drives one reused ``simple`` machine and one reused ``fast`` machine
-through the same sequence of runs and edits; after every run the two
-must agree on every counter, the return value and the per-region
-D-cache misses.
+of every run, so no edit has to be announced to the engines.  Each
+rerun test drives one reused ``simple`` machine and one reused ``fast``
+machine through the same sequence of runs and edits; after every run
+the two must agree on every counter, the return value and the
+per-region D-cache misses.
+
+A fast-engine run empties its decodings when it ends, on return and on
+raise alike, so reference counting frees its machine, program and
+segment closures as soon as the caller drops them: the lifetime tests
+check that with the cyclic collector switched off.
 """
 
 import copy
+import gc
+import weakref
 
 import pytest
 
@@ -16,10 +24,15 @@ from repro.instrument.pathinstr import instrument_paths
 from repro.instrument.tables import ProfilingRuntime
 from repro.ir.asm import parse_program
 from repro.ir.instructions import Binop, Imm
+from repro.machine import engine
 from repro.machine.caches import SetAssociativeCache
 from repro.machine.config import MachineConfig
 from repro.machine.memory import MemoryMap
-from repro.machine.vm import Machine
+from repro.machine.vm import Machine, MachineError
+from repro.tools.pp import PP
+from repro.workloads.suite import build_workload
+from tests import test_machine_vm
+from tests.test_engine_differential import _SIGNAL_ASM, _UNWIND_THEN_CALL_ASM
 
 _LOOP = """
 func main(0) regs=4 {
@@ -133,6 +146,8 @@ def test_rerun_decodes_afresh_and_compiles_nothing():
         == first["decoded_blocks"]
     )
     assert not any(decoded in previous for decoded in fast._decoded.values())
+    # A finished run's decodings are emptied but keep their source.
+    assert all(decoded.source and not decoded.steps for decoded in previous)
 
 
 def test_runtime_swap_rebinds_fused_probes():
@@ -158,3 +173,97 @@ def test_runtime_swap_rebinds_fused_probes():
     machine.run()
     assert dict(second.tables[table_index].counts) == first_counts
     assert dict(first.tables[table_index].counts) == first_counts
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: a finished run is freed by reference counting alone.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """Weak references to the first segment function of every block the
+    fast engine decodes, with the cyclic collector off for the test."""
+    refs = []
+    decode_block = engine.decode_block
+
+    def recording(machine, function, block):
+        decoded = decode_block(machine, function, block)
+        refs.append(weakref.ref(decoded.steps[0]))
+        return decoded
+
+    monkeypatch.setattr(engine, "decode_block", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _assert_freed(refs, segments, engine_name):
+    """The run's machine, program and segment functions are gone."""
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert bool(segments) == (engine_name == "fast")
+    assert not any(ref() is not None for ref in segments)
+
+
+@pytest.mark.parametrize("engine_name", ["simple", "fast"])
+@pytest.mark.parametrize(
+    "mode, overrides",
+    [
+        ("baseline", {}),
+        ("flow_hw", {}),
+        ("context_hw", {}),
+        ("context_flow", {}),
+        ("edge", {"placement": "simple"}),
+        ("kflow", {"k": 2}),
+    ],
+    ids=["baseline", "flow_hw", "context_hw", "context_flow", "edge", "kflow2"],
+)
+def test_profile_run_is_freed_without_the_collector(
+    engine_name, mode, overrides, segments
+):
+    """Dropping a ``ProfileRun`` frees its machine, its instrumented
+    clone and every decoding, with no ``gc.collect()``."""
+    pp = PP(engine=engine_name)
+    run = pp.run(pp.spec(mode, **overrides), build_workload("130.li", 0.1))
+    refs = [weakref.ref(run.machine), weakref.ref(run.program)]
+    del run
+    _assert_freed(refs, segments, engine_name)
+
+
+@pytest.mark.parametrize("engine_name", ["simple", "fast"])
+@pytest.mark.parametrize(
+    "asm, config, signal, fault",
+    [
+        (
+            "func main(0) regs=4 {\nentry:\n    call r0, main()\n    ret r0\n}\n",
+            MachineConfig(max_call_depth=32),
+            None,
+            "call stack overflow",
+        ),
+        (test_machine_vm.TestSetjmpLongjmp.ASM, None, None, None),
+        (_UNWIND_THEN_CALL_ASM, None, None, None),
+        (_SIGNAL_ASM, None, {"handler": "tick", "period": 5}, None),
+    ],
+    ids=["call-depth", "setjmp", "call-after-longjmp", "signal"],
+)
+def test_machine_run_is_freed_without_the_collector(
+    engine_name, asm, config, signal, fault, segments
+):
+    """A run that raises, unwinds through a longjmp or takes a signal
+    is freed once the machine and the ``ExceptionInfo`` are dropped."""
+    machine = Machine(parse_program(asm), config, engine=engine_name)
+    if signal is not None:
+        machine.install_signal(**signal)
+    refs = [weakref.ref(machine), weakref.ref(machine.program)]
+    if fault is None:
+        machine.run()
+    else:
+        with pytest.raises(MachineError, match=fault) as raised:
+            machine.run()
+        del raised
+    del machine
+    _assert_freed(refs, segments, engine_name)
